@@ -20,9 +20,8 @@ from .errors import (
     DegenerateInput,
     DuplicatePipelineInGroup,
     InstanceSetTooSmall,
-    MissingBaseline,
 )
-from .knowledge import AlgorithmEntry, ParameterSpec
+from .knowledge import ParameterSpec
 
 DEFAULT_CHECKPOINTS = (6, 12, 18, 24, 30, 36)
 
@@ -81,6 +80,22 @@ def _checkpoint_slice(result: optimizers.OptResult, budget: int):
         float(result.cpu_trace[i]),
         float(result.mem_trace[i]),
     )
+
+
+def _average_checkpoints(pipeline: str, instance: str, runs, checkpoints,
+                         params: dict) -> list[EvaluationRecord]:
+    """One record per checkpoint budget, averaged over the repeated runs."""
+    records = []
+    for b in checkpoints:
+        ys, cpus, mems = zip(*(_checkpoint_slice(r, b) for r in runs))
+        records.append(EvaluationRecord(
+            pipeline=pipeline, instance=instance, budget=b,
+            best_y=float(np.mean(ys)),
+            cpu_time=float(np.mean(cpus)),
+            memory_bytes=float(np.mean(mems)),
+            tuned_params=dict(params),
+        ))
+    return records
 
 
 def run_single(
@@ -156,28 +171,13 @@ def tune_then_benchmark(
             if res.best_y < best_score:
                 best_score = res.best_y
                 tuned = params
-        if not tuned:
-            tuned = {}
 
     runs = [
         run_single(algorithm, S.instances[bench_idx], bounds, bench_budget,
                    derive_seed(seed, 2, rep), tuned)
         for rep in range(reps)
     ]
-    records = []
-    for b in checkpoints:
-        sliced = [_checkpoint_slice(r, b) for r in runs]
-        ys, cpus, mems = zip(*sliced)
-        records.append(EvaluationRecord(
-            pipeline=pipeline_id,
-            instance=f"instance-{bench_idx}",
-            budget=b,
-            best_y=float(np.mean(ys)),
-            cpu_time=float(np.mean(cpus)),
-            memory_bytes=float(np.mean(mems)),
-            tuned_params=dict(tuned),
-        ))
-    return records
+    return _average_checkpoints(pipeline_id, f"instance-{bench_idx}", runs, checkpoints, tuned)
 
 
 @dataclass(frozen=True)
@@ -237,18 +237,8 @@ def run_campaign(
         grouped.setdefault((task.pipeline, task.instance), []).append(res)
         params_of[task.pipeline] = task.params
 
-    records = []
-    for (pid, iname), runs in grouped.items():
-        for b in checkpoints:
-            sliced = [_checkpoint_slice(r, b) for r in runs]
-            ys, cpus, mems = zip(*sliced)
-            records.append(EvaluationRecord(
-                pipeline=pid, instance=iname, budget=b,
-                best_y=float(np.mean(ys)),
-                cpu_time=float(np.mean(cpus)),
-                memory_bytes=float(np.mean(mems)),
-                tuned_params=dict(params_of[pid]),
-            ))
+    records = [rec for (pid, iname), runs in grouped.items()
+               for rec in _average_checkpoints(pid, iname, runs, checkpoints, params_of[pid])]
     records.sort(key=lambda r: (r.instance, r.budget, pnames.index(r.pipeline) if r.pipeline in pnames else -1))
     return records
 

@@ -7,10 +7,13 @@ failures.  Log verbosity follows the CAAI_LOG_LEVEL environment variable
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +21,7 @@ import click
 import numpy as np
 import yaml
 
-from . import benchmark, cognition, gp, knowledge, report
+from . import benchmark, cognition, gp, report
 from .errors import (
     CogoptError,
     ConfigError,
@@ -27,15 +30,11 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .knowledge import GoalSpec, ResourceBudget, default_kb, load_kb, save_kb
+from .knowledge import GoalSpec, default_kb, load_kb, save_kb
 from .plant import DEFAULT_BOUNDS, VpsSimulator
 from .rating import RatingWeights
 
-log = logging.getLogger("cogopt")
-
 CONFIG_ERRORS = (ConfigError, SchemaError, ConstraintViolation, ParseError, FileNotFoundError)
-
-DEFAULT_SCENARIOS = ((0.8, 0.1, 0.1), (0.5, 0.25, 0.25))
 
 
 def _setup_logging():
@@ -46,137 +45,130 @@ def _setup_logging():
     logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
 
 
-@dataclass
+@dataclass(frozen=True)
+class PlantConfig:
+    bounds: tuple[float, float] = DEFAULT_BOUNDS
+    noise_sd: float = 0.02
+    weights: tuple[float, ...] = (1.0 / 3, 1.0 / 3, 1.0 / 3)
+    seed: int = 0
+    seed_data: str | None = None
+
+
+@dataclass(frozen=True)
+class RatingConfig:
+    scenarios: tuple[tuple[float, float, float], ...] = ((0.8, 0.1, 0.1), (0.5, 0.25, 0.25))
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    budget: int = 36
+    checkpoints: tuple[int, ...] = benchmark.DEFAULT_CHECKPOINTS
+    reps: int = 10
+    k_instances: int = 5
+    workers: int = 1
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    kb_path: str = "kb.yaml"
+    """Each field is a YAML key with its default; `override` reads the YAML layout."""
+
+    kb: str = "kb.yaml"
     output_dir: str = "out"
     cycles: int = 36
     goal: GoalSpec = field(default_factory=lambda: GoalSpec(
         "Optimization", ("energy", "processing_time", "corn_amount"), "mean", "minimize"))
-    plant_bounds: tuple[float, float] = DEFAULT_BOUNDS
-    plant_noise_sd: float = 0.02
-    plant_weights: tuple = (1.0 / 3, 1.0 / 3, 1.0 / 3)
-    plant_seed: int = 0
-    plant_seed_data: str | None = None
+    plant: PlantConfig = field(default_factory=PlantConfig)
     cognition: cognition.CognitionConfig = field(default_factory=cognition.CognitionConfig)
-    scenarios: tuple = DEFAULT_SCENARIOS
-    campaign_budget: int = 36
-    campaign_checkpoints: tuple = benchmark.DEFAULT_CHECKPOINTS
-    campaign_reps: int = 10
-    campaign_k_instances: int = 5
-    campaign_workers: int = 1
+    rating: RatingConfig = field(default_factory=RatingConfig)
+    campaign: CampaignConfig = field(default_factory=CampaignConfig)
+
+
+def _to_doc(value):
+    if isinstance(value, RatingWeights):
+        return list(value.as_tuple())
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_to_doc(v) for v in value]
+    return value
 
 
 def default_config_doc() -> dict:
-    return {
-        "kb": "kb.yaml",
-        "output_dir": "out",
-        "cycles": 36,
-        "goal": {
-            "overall_goal": "Optimization",
-            "signals": ["energy", "processing_time", "corn_amount"],
-            "aggregation": "mean",
-            "direction": "minimize",
-        },
-        "plant": {
-            "bounds": list(DEFAULT_BOUNDS),
-            "noise_sd": 0.02,
-            "weights": [1.0 / 3, 1.0 / 3, 1.0 / 3],
-            "seed": 0,
-            "seed_data": None,
-        },
-        "cognition": {
-            "s": 12,
-            "theta": 5,
-            "epsilon": None,
-            "weights": [0.8, 0.1, 0.1],
-            "k_instances": 5,
-            "tuning_budget": 5,
-            "bench_budget": 36,
-            "reps": 10,
-            "stagnation_delta": 0.01,
-            "master_seed": 0,
-            "design_kind": "full_factorial",
-            "design_reps": 3,
-            "sim_method": "decomposition",
-            "workers": 1,
-        },
-        "resources": {
-            "max_parallel_pipelines": 4,
-            "deadline": 60.0,
-            "memory_cap": 1 << 30,
-        },
-        "rating": {"scenarios": [list(s) for s in DEFAULT_SCENARIOS]},
-        "campaign": {
-            "budget": 36,
-            "checkpoints": list(benchmark.DEFAULT_CHECKPOINTS),
-            "reps": 10,
-            "k_instances": 5,
-            "workers": 1,
-        },
-    }
+    doc = _to_doc(RunConfig())
+    doc["resources"] = doc["cognition"].pop("resources")
+    return doc
+
+
+def _check(hint, value, key: str):
+    """`value` as type `hint`, or a ConfigError naming `key`."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # the optional fields: `X | None`
+        if value is None:
+            return None
+        return _check(next(a for a in args if a is not type(None)), value, key)
+    if typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
+        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(hints) == len(value):
+            return tuple(_check(h, v, f"{key}[{i}]") for i, (h, v) in enumerate(zip(hints, value)))
+    elif hint is float and type(value) in (int, float):
+        return float(value)
+    elif type(value) is hint:
+        return value
+    raise ConfigError(f"{key}: expected {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
+
+
+def _overlay(obj, doc, prefix: str = ""):
+    """`obj` with the mapping `doc` laid over its fields, checked against their types."""
+    if doc is None:
+        return obj
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'}: expected a mapping, got {doc!r}")
+    hints = typing.get_type_hints(type(obj))
+    changes = {}
+    for key, value in doc.items():
+        if key not in hints or prefix + key == "cognition.resources":  # set at top level
+            raise ConfigError(f"{prefix}{key}: unknown key (`cogopt init` writes every key)")
+        old = getattr(obj, key)
+        if isinstance(old, RatingWeights):
+            changes[key] = RatingWeights(*_check(tuple[float, float, float], value, prefix + key))
+        elif dataclasses.is_dataclass(old):
+            changes[key] = _overlay(old, value, f"{prefix}{key}.")
+        else:
+            changes[key] = _check(hints[key], value, prefix + key)
+    return dataclasses.replace(obj, **changes)
+
+
+def override(cfg: RunConfig, doc) -> RunConfig:
+    """`cfg` with a mapping in the config file's layout laid over it: the field tree, except
+    that `cognition.resources` is the top-level `resources` section and `RatingWeights` a 3-list."""
+    if isinstance(doc, dict) and "resources" in doc:
+        doc = dict(doc)
+        res = _overlay(cfg.cognition.resources, doc.pop("resources"), "resources.")
+        cfg = dataclasses.replace(cfg, cognition=dataclasses.replace(cfg.cognition, resources=res))
+    return _overlay(cfg, doc)
 
 
 def load_config(path, seed_override: int | None = None, out_override: str | None = None) -> RunConfig:
     with open(path) as fh:
         try:
-            doc = yaml.safe_load(fh) or {}
+            doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ParseError(f"malformed config: {exc}") from exc
-    base = Path(path).parent
-
-    goal_doc = doc.get("goal", {})
-    goal = GoalSpec(
-        overall_goal=goal_doc.get("overall_goal", "Optimization"),
-        signals=tuple(goal_doc.get("signals", ["signal"])),
-        aggregation=goal_doc.get("aggregation", "mean"),
-        direction=goal_doc.get("direction", "minimize"),
-    )
-    plant_doc = doc.get("plant", {})
-    cog_doc = dict(doc.get("cognition", {}))
-    res_doc = doc.get("resources", {})
-    rating_weights = cog_doc.pop("weights", [0.8, 0.1, 0.1])
-    cog = cognition.CognitionConfig(
-        weights=RatingWeights(*rating_weights),
-        resources=ResourceBudget(
-            max_parallel_pipelines=res_doc.get("max_parallel_pipelines", 4),
-            deadline=res_doc.get("deadline", 60.0),
-            memory_cap=res_doc.get("memory_cap", 1 << 30),
-        ),
-        **cog_doc,
-    )
+    cfg = override(RunConfig(), doc)
     if seed_override is not None:
-        cog.master_seed = seed_override
-    camp = doc.get("campaign", {})
-    kb_path = doc.get("kb", "kb.yaml")
-    cfg = RunConfig(
-        kb_path=str(base / kb_path) if not os.path.isabs(kb_path) else kb_path,
-        output_dir=out_override or doc.get("output_dir", "out"),
-        cycles=int(doc.get("cycles", 36)),
-        goal=goal,
-        plant_bounds=tuple(plant_doc.get("bounds", DEFAULT_BOUNDS)),
-        plant_noise_sd=float(plant_doc.get("noise_sd", 0.02)),
-        plant_weights=tuple(plant_doc.get("weights", [1.0 / 3, 1.0 / 3, 1.0 / 3])),
-        plant_seed=int(plant_doc.get("seed", 0)) if seed_override is None else seed_override,
-        plant_seed_data=plant_doc.get("seed_data"),
-        cognition=cog,
-        scenarios=tuple(tuple(s) for s in doc.get("rating", {}).get("scenarios", DEFAULT_SCENARIOS)),
-        campaign_budget=int(camp.get("budget", 36)),
-        campaign_checkpoints=tuple(camp.get("checkpoints", benchmark.DEFAULT_CHECKPOINTS)),
-        campaign_reps=int(camp.get("reps", 10)),
-        campaign_k_instances=int(camp.get("k_instances", 5)),
-        campaign_workers=int(camp.get("workers", 1)),
-    )
-    return cfg
+        cfg = override(cfg, {"plant": {"seed": seed_override},
+                             "cognition": {"master_seed": seed_override}})
+    return dataclasses.replace(cfg, kb=str(Path(path).parent / cfg.kb),
+                               output_dir=out_override or cfg.output_dir)
 
 
 def _make_plant(cfg: RunConfig) -> VpsSimulator:
     return VpsSimulator(
-        weights=cfg.plant_weights,
-        noise_sd=cfg.plant_noise_sd,
-        seed=cfg.plant_seed,
-        bounds=cfg.plant_bounds,
-        seed_data_path=cfg.plant_seed_data,
+        weights=cfg.plant.weights,
+        noise_sd=cfg.plant.noise_sd,
+        seed=cfg.plant.seed,
+        bounds=cfg.plant.bounds,
+        seed_data_path=cfg.plant.seed_data,
     )
 
 
@@ -226,7 +218,7 @@ def init(ctx, directory):
     _guarded(ctx, body)
 
 
-def _prepare_out(ctx, cfg: RunConfig) -> Path:
+def _prepare_out(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -242,15 +234,12 @@ def run(ctx, cycles, theta, epsilon):
 
     def body():
         cfg = load_config(ctx.obj["config_path"], ctx.obj["seed"], ctx.obj["out"])
-        if cycles is not None:
-            cfg.cycles = cycles
-        if theta is not None:
-            cfg.cognition.theta = theta
-        if epsilon is not None:
-            cfg.cognition.epsilon = epsilon
-        kb = load_kb(cfg.kb_path)
+        flags = {"theta": theta, "epsilon": epsilon}
+        cfg = override(cfg, {"cycles": cfg.cycles if cycles is None else cycles,
+                             "cognition": {k: v for k, v in flags.items() if v is not None}})
+        kb = load_kb(cfg.kb)
         plant = _make_plant(cfg)
-        out = _prepare_out(ctx, cfg)
+        out = _prepare_out(cfg)
         log_path = out / "runlog.jsonl"
         if log_path.exists() and not ctx.obj["force"]:
             raise ConfigError(f"{log_path} exists; use --force to overwrite")
@@ -303,17 +292,12 @@ def benchmark_cmd(ctx):
 
     def body():
         cfg = load_config(ctx.obj["config_path"], ctx.obj["seed"], ctx.obj["out"])
-        kb = load_kb(cfg.kb_path)
+        kb = load_kb(cfg.kb)
         plant = _make_plant(cfg)
-        out = _prepare_out(ctx, cfg)
+        out = _prepare_out(cfg)
         records = report.campaign(
-            plant, kb, cfg.goal.path,
-            budget=cfg.campaign_budget,
-            checkpoints=cfg.campaign_checkpoints,
-            reps=cfg.campaign_reps,
-            k_instances=cfg.campaign_k_instances,
-            master_seed=cfg.cognition.master_seed,
-            workers=cfg.campaign_workers,
+            plant, kb, cfg.goal.path, master_seed=cfg.cognition.master_seed,
+            **dataclasses.asdict(cfg.campaign),
         )
         benchmark.records_to_csv(records, out / "campaign.csv")
         report.write_rank_csv(records, sim=False, path=out / "ranks_ground_truth.csv")
@@ -331,16 +315,16 @@ def report_cmd(ctx, records_csv):
 
     def body():
         cfg = load_config(ctx.obj["config_path"], ctx.obj["seed"], ctx.obj["out"])
-        out = _prepare_out(ctx, cfg)
+        out = _prepare_out(cfg)
         records = benchmark.records_from_csv(records_csv)
         if not records:
             raise MalformedInput(f"{records_csv}: no records")
         for i, (rw, table, p_best) in enumerate(
-            report.scenario_tables(records, cfg.scenarios), start=1
+            report.scenario_tables(records, cfg.rating.scenarios), start=1
         ):
             report.write_scenario_csv(table, out / f"scenario_{i}.csv")
         report.write_trajectories_csv(records, out / "trajectories.csv")
-        click.echo(report.summary_text(records, cfg.scenarios))
+        click.echo(report.summary_text(records, cfg.rating.scenarios))
 
     _guarded(ctx, body)
 
@@ -354,8 +338,8 @@ def simulate(ctx, instances):
     def body():
         cfg = load_config(ctx.obj["config_path"], ctx.obj["seed"], ctx.obj["out"])
         plant = _make_plant(cfg)
-        out = _prepare_out(ctx, cfg)
-        k = instances if instances is not None else cfg.campaign_k_instances
+        out = _prepare_out(cfg)
+        k = instances if instances is not None else cfg.campaign.k_instances
         objectives = report.build_objectives(plant, k, cfg.cognition.master_seed,
                                              cfg.cognition.sim_method)
         grid = np.linspace(plant.bounds[0], plant.bounds[1], gp.GRID_SIZE)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,6 @@ class CognitionConfig:
     design_reps: int = 1
     sim_method: str = "decomposition"
     resources: ResourceBudget = field(default_factory=ResourceBudget)
-    workers: int = 1
 
     def __post_init__(self):
         if self.s < 2:
@@ -179,10 +177,10 @@ def run_selection_cycle(
     others = [i for i in range(config.k_instances) if i != tune_idx]
     bench_idx = others[int(draw.integers(len(others)))]
 
-    def bench(i_p):
-        i, pipeline = i_p
+    records = []
+    for i, pipeline in enumerate(candidates):
         algo, specs = _pipeline_runs(pipeline, kb)
-        return tune_then_benchmark(
+        records.extend(tune_then_benchmark(
             pipeline.pipeline_id, algo, specs, S, bbounds,
             tuning_budget=config.tuning_budget,
             bench_budget=config.bench_budget,
@@ -190,14 +188,7 @@ def run_selection_cycle(
             seed=derive_seed(cycle_seed, i),
             tune_idx=tune_idx,
             bench_idx=bench_idx,
-        )
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            all_records = list(pool.map(bench, enumerate(candidates)))
-    else:
-        all_records = [bench(ip) for ip in enumerate(candidates)]
-    records = [rec for sub in all_records for rec in sub]
+        ))
     state.e.extend(records)
 
     baseline_ids = [r.pipeline for r in records if r.pipeline.endswith(BASELINE_PIPELINE)]

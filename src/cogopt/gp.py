@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import SchemaError, SingularCovariance
 

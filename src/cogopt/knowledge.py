@@ -12,7 +12,7 @@ benchmarked the algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import yaml
 
@@ -198,7 +198,6 @@ class PipelineTemplate:
 class ResourceBudget:
     max_parallel_pipelines: int = 4
     deadline: float = 60.0
-    memory_cap: int = 1 << 30
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -280,12 +280,9 @@ def generalized_sa(problem: OptProblem, seed: int, temp: float = 100.0,
         if fn <= fx:
             x, fx = xn, fn
         else:
-            ta = tv / t
-            base = 1.0 - (1.0 - qa) * (fn - fx) / max(ta, 1e-300)
-            if base > 0.0:
-                p = base ** (1.0 / (1.0 - qa))
-                if rng.uniform() < p:
-                    x, fx = xn, fn
+            p = gsa_acceptance_probability(fn - fx, tv, t, qa)
+            if p > 0.0 and rng.uniform() < p:
+                x, fx = xn, fn
         t += 1
     return f.result()
 

@@ -11,7 +11,7 @@ feed back into the knowledge base as dynamic algorithm characteristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,20 +190,3 @@ def _raw_rows(group: dict[str, EvaluationRecord], baseline_id: str) -> dict[str,
         for pid, rec in group.items()
     }
 
-
-def aggregate_goal_value(normalized_signals, weights) -> float:
-    """Weighted sum of already-normalized per-goal signals."""
-    validate_weights(weights)
-    signals = tuple(float(s) for s in normalized_signals)
-    if len(signals) != len(tuple(weights)):
-        raise ConstraintViolation("signals and weights must have equal length")
-    return float(sum(w * s for w, s in zip(weights, signals)))
-
-
-def minmax_normalize(values) -> np.ndarray:
-    """Min-max normalization over an observed history window."""
-    values = np.asarray(values, dtype=float)
-    lo, hi = values.min(), values.max()
-    if hi - lo < 1e-15:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)

@@ -9,7 +9,6 @@ objective types and re-rate the field under configurable weight scenarios.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,13 +1,17 @@
 import csv
+import dataclasses
 import json
+import string
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cogopt import report
-from cogopt.cli import default_config_doc, load_config, main
+from cogopt.cli import RunConfig, default_config_doc, load_config, main
 from cogopt.knowledge import load_kb
 
 
@@ -44,6 +48,13 @@ class TestInit:
         assert kb.find("KrigingSBO").parameter("designSize").default == 7
         cfg = load_config(tmp_path / "config.yaml")
         assert cfg.cycles == 36
+
+    def test_template_loads_as_the_defaults(self, runner, tmp_path):
+        assert runner.invoke(main, ["init", str(tmp_path)]).exit_code == 0
+        cfg = load_config(tmp_path / "config.yaml")
+        expected = dataclasses.replace(RunConfig(), kb=str(tmp_path / "kb.yaml"))
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(cfg, f.name) == getattr(expected, f.name), f.name
 
     def test_refuses_to_overwrite(self, runner, tmp_path):
         assert runner.invoke(main, ["init", str(tmp_path)]).exit_code == 0
@@ -188,6 +199,45 @@ class TestErrors:
         (tmp_path / "kb.yaml").unlink()
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("section", [None, "goal", "plant", "cognition", "resources",
+                                         "rating", "campaign"])
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.text(string.ascii_lowercase + "_", min_size=1, max_size=12))
+    def test_unknown_key_is_refused(self, runner, tmp_path, section, key):
+        doc = default_config_doc()
+        known = doc if section is None else doc[section]
+        assume(key not in known and (section, key) != ("cognition", "resources"))
+        known[key] = 1
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "simulate", "-k", "2"])
+        assert res.exit_code == 2, res.output
+        dotted = key if section is None else f"{section}.{key}"
+        assert f"{dotted}: unknown key" in res.output
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("cycles", "abc", "cycles"),
+        ("plant", [1, 2], "plant"),
+        ("resources", {"memory_cap": 1 << 30}, "resources.memory_cap"),
+        ("cognition", {"workers": 1}, "cognition.workers"),
+    ])
+    def test_bad_config_value(self, runner, tmp_path, key, value, named):
+        cfg = write_project(tmp_path, **{key: value})
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "simulate", "-k", "2"])
+        assert res.exit_code == 2, res.output
+        assert f"{named}:" in res.output
+
+    @pytest.mark.parametrize("flag", [["--theta", "0"], ["--epsilon", "-5"]])
+    def test_bad_run_flag(self, runner, tmp_path, flag):
+        cfg = write_project(tmp_path)
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "run", "--cycles", "1"] + flag)
+        assert res.exit_code == 2, res.output
+        assert flag[0][2:] in res.output
 
     def test_log_level_env_accepted(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("CAAI_LOG_LEVEL", "debug")

@@ -1,12 +1,9 @@
-import numpy as np
 import pytest
 
 from cogopt.benchmark import EvaluationRecord
 from cogopt.errors import ConstraintViolation, MissingBaseline
 from cogopt.rating import (
     RatingWeights,
-    aggregate_goal_value,
-    minmax_normalize,
     rate_pipelines,
     validate_weights,
 )
@@ -148,26 +145,3 @@ class TestRatePipelines:
         table, _, _ = rate_pipelines(forced_fixture(), "Base", RatingWeights())
         ranks = sorted(table.ratings[p].rank for p in table.survivors)
         assert ranks == [1.0, 2.0]
-
-
-class TestAggregateGoalValue:
-    def test_equal_weights(self):
-        v = aggregate_goal_value((0.3, 0.6, 0.9), (1 / 3, 1 / 3, 1 / 3))
-        assert v == pytest.approx(0.6)
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(ConstraintViolation):
-            aggregate_goal_value((0.5, 0.5), (1.0, 0.0))
-
-    def test_single_goal_identity(self):
-        assert aggregate_goal_value((0.42,), (1.0,)) == pytest.approx(0.42)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConstraintViolation):
-            aggregate_goal_value((0.5,), (0.5, 0.5))
-
-
-def test_minmax_normalize():
-    out = minmax_normalize([2.0, 4.0, 6.0])
-    assert np.allclose(out, [0.0, 0.5, 1.0])
-    assert np.allclose(minmax_normalize([3.0, 3.0]), [0.0, 0.0])
