@@ -20,6 +20,7 @@ from .errors import (
     DegenerateInput,
     DuplicatePipelineInGroup,
     InstanceSetTooSmall,
+    RECOVERABLE,
 )
 from .knowledge import ParameterSpec
 
@@ -166,7 +167,7 @@ def tune_then_benchmark(
             try:
                 res = run_single(algorithm, S.instances[tune_idx], bounds, bench_budget,
                                  derive_seed(seed, 1, j), params)
-            except Exception:
+            except RECOVERABLE:
                 continue  # an infeasible sampled config just scores nothing
             if res.best_y < best_score:
                 best_score = res.best_y

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gp, optimizers
 from .benchmark import EvaluationRecord, derive_seed, generate_test_functions, tune_then_benchmark
-from .errors import SchemaError
+from .errors import RECOVERABLE, SchemaError
 from .knowledge import (
     GoalSpec,
     KnowledgeBase,
@@ -208,7 +208,7 @@ def run_selection_cycle(
             kb = update_characteristics(
                 kb, terminal, up.performance, up.computational_effort, up.ram_usage
             )
-        except Exception as exc:
+        except RECOVERABLE as exc:
             log.warning("KB update for %s failed: %s", terminal, exc)
     return kb
 
@@ -236,7 +236,7 @@ def get_best_x(
             algo, problem, derive_seed(config.master_seed, 0xA, state.iteration), params
         )
         return float(res.best_x[0])
-    except Exception as exc:
+    except RECOVERABLE as exc:
         log.warning("proposal search failed (%s); keeping current x", exc)
         return state.x
 
@@ -256,7 +256,7 @@ def step(
         try:
             kb = run_selection_cycle(state, kb, config, goal, bounds)
             selection_ran = True
-        except Exception as exc:
+        except RECOVERABLE as exc:
             log.error("selection cycle failed: %s", exc)
 
     x_best = get_best_x(state.p_best, state, kb, config, bounds)
@@ -267,7 +267,7 @@ def step(
             plant.apply(x_best)
             state.x = x_best
             applied = True
-        except Exception as exc:
+        except RECOVERABLE as exc:
             log.error("plant application failed: %s", exc)
 
     new = plant.receive_new_data(state.last_cycle)
@@ -278,16 +278,14 @@ def step(
     best_now = min(r.aggregate for r in state.d)
     state.best_history.append(best_now)
 
+    # only new data can arm the trigger: selection on unchanged data repeats itself
     window = math.ceil(config.theta / 2)
-    if len(state.best_history) > window:
+    if new and len(state.best_history) > window:
         prev = state.best_history[-(window + 1)]
-        cur = state.best_history[-1]
-        rel = (prev - cur) / max(abs(prev), 1e-12)
+        rel = (prev - best_now) / max(abs(prev), 1e-12)
         stagnant = rel < config.stagnation_delta
-        decreased = False
-        if new:
-            latest = new[-1].aggregate
-            decreased = (latest - best_now) / max(abs(best_now), 1e-12) > config.stagnation_delta
+        latest = new[-1].aggregate
+        decreased = (latest - best_now) / max(abs(best_now), 1e-12) > config.stagnation_delta
         if stagnant or decreased:
             state.zeta = 1
 

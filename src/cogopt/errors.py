@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numpy as np
+
 
 class CogoptError(Exception):
     """Base class for all package-specific errors."""
@@ -59,3 +61,7 @@ class ConstraintViolation(CogoptError):
 
 class MalformedInput(CogoptError):
     """A report input file exists but does not have the expected columns."""
+
+
+# failures the loop and the tuner log and survive; any other error propagates
+RECOVERABLE = (CogoptError, np.linalg.LinAlgError)

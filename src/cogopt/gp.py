@@ -1,8 +1,9 @@
 """Gaussian process fitting, prediction, and simulation.
 
 A single squared-exponential kernel with constant mean is used throughout.
-Hyperparameters come from a deterministic log-space grid search refined by a
-local pattern search, so fitting the same data always yields the same model.
+The signal variance and the mean are solved in closed form; the lengthscale
+comes from a deterministic log-space grid search refined by a local pattern
+search, so fitting the same data always yields the same model.
 Simulation supports both decomposition (exact joint draw via Cholesky) and a
 truncated spectral (random cosine features) expansion; conditional draws use
 conditioning by kriging and therefore reproduce the training observations.
@@ -126,68 +127,59 @@ def _chol_with_jitter(R: np.ndarray) -> tuple[np.ndarray, float]:
     raise SingularCovariance("covariance not positive definite at max jitter")
 
 
-def _profile_loglik(L: np.ndarray, y: np.ndarray, sv_grid: np.ndarray):
-    """Log marginal likelihood on a signal-variance grid for one factored R.
+def _profile(R: np.ndarray, y: np.ndarray, sv_range: tuple[float, float]):
+    """Score one correlation matrix R: (loglik, sv, mean, L, jitter).
 
-    K = sv * R, so logdet and the quadratic form scale analytically with sv.
-    The constant mean is estimated by generalized least squares.
+    K = sv * R, so for a fixed R the log likelihood
+    -1/2 (n log(2 pi sv) + log|R| + q / sv) has a single peak at sv = q / n,
+    where q = (y - m)^T R^-1 (y - m); clipping it to `sv_range` gives the exact
+    optimum within the range.  The constant mean m is estimated by generalized
+    least squares.  A matrix that does not factor scores -inf.
     """
-    n = y.size
-    ones = np.ones(n)
-    Li_y = solve_triangular(L, y, lower=True)
-    Li_1 = solve_triangular(L, ones, lower=True)
-    denom = Li_1 @ Li_1
-    mean = (Li_1 @ Li_y) / denom
-    r = Li_y - mean * Li_1
-    quad = r @ r                      # (y-m)^T R^-1 (y-m)
-    logdet_R = 2.0 * np.sum(np.log(np.diag(L)))
-    ll = -0.5 * (n * np.log(2.0 * np.pi * sv_grid) + logdet_R + quad / sv_grid)
-    return ll, mean
-
-
-def _loglik(data: Dataset, ls: float, sv: float, noise_ratio: float) -> float:
-    R = np.exp(-_sqdist(data.X, data.X) / (2.0 * ls ** 2)) + noise_ratio * np.eye(data.n)
     try:
-        L, _ = _chol_with_jitter(R)
+        L, jit = _chol_with_jitter(R)
     except SingularCovariance:
-        return -np.inf
-    ll, _ = _profile_loglik(L, data.y, np.array([sv]))
-    return float(ll[0])
+        return -np.inf, None, None, None, None
+    n = y.size
+    Li_y = solve_triangular(L, y, lower=True)
+    Li_1 = solve_triangular(L, np.ones(n), lower=True)
+    mean = float((Li_1 @ Li_y) / (Li_1 @ Li_1))
+    r = Li_y - mean * Li_1
+    quad = r @ r
+    sv = min(max(quad / n, sv_range[0]), sv_range[1])
+    logdet_R = 2.0 * np.sum(np.log(np.diag(L)))
+    ll = -0.5 * (n * np.log(2.0 * np.pi * sv) + logdet_R + quad / sv)
+    return float(ll), float(sv), mean, L, jit
 
 
 def fit(data: Dataset, noise: bool = False) -> GPModel:
     """Deterministic maximum-marginal-likelihood fit of the SE kernel.
 
-    The search covers a 32x32 log grid over lengthscale and signal variance
-    (plus a small noise-ratio grid when `noise` is set), then refines the best
-    point with one pattern-search pass.
+    The signal variance and the mean are solved in closed form for each
+    correlation matrix (see `_profile`), so only the lengthscale is searched:
+    a 32-point log grid (times a small noise-ratio grid when `noise` is set),
+    then one pattern-search pass over the lengthscale at the winning noise
+    ratio.
     """
     width = float(np.mean(data.bounds[:, 1] - data.bounds[:, 0]))
     vy = max(float(np.var(data.y)), 1e-12)
+    sv_range = (1e-4 * vy, 4.0 * vy)
     ls_grid = np.geomspace(1e-3 * width, 2.0 * width, 32)
-    sv_grid = np.geomspace(1e-4 * vy, 4.0 * vy, 32)
     noise_grid = np.geomspace(1e-6, 1.0, 8) if noise else np.array([0.0])
 
     D2 = _sqdist(data.X, data.X)
     eye = np.eye(data.n)
-    best = (-np.inf, ls_grid[0], sv_grid[0], 0.0)
-    for ls in ls_grid:
-        R0 = np.exp(-D2 / (2.0 * ls ** 2))
-        for nr in noise_grid:
-            try:
-                L, _ = _chol_with_jitter(R0 + nr * eye)
-            except SingularCovariance:
-                continue
-            ll, _ = _profile_loglik(L, data.y, sv_grid)
-            k = int(np.argmax(ll))
-            if ll[k] > best[0]:
-                best = (float(ll[k]), float(ls), float(sv_grid[k]), float(nr))
+    best, ls, nr = (-np.inf,), float(ls_grid[0]), 0.0
+    for cand_ls in ls_grid:
+        R0 = np.exp(-D2 / (2.0 * cand_ls ** 2))
+        for cand_nr in noise_grid:
+            cand = _profile(R0 + cand_nr * eye, data.y, sv_range)
+            if cand[0] > best[0]:
+                best, ls, nr = cand, float(cand_ls), float(cand_nr)
     if not np.isfinite(best[0]):
         raise SingularCovariance("no hyperparameter setting factorized")
 
-    # one compass pattern-search pass in log space, shrinking steps
-    _, ls, sv, nr = best
-    ll_best = best[0]
+    # one compass pattern-search pass in log-lengthscale, shrinking steps
     steps = [math.log(ls_grid[1] / ls_grid[0]) / 2.0]
     for _ in range(3):
         steps.append(steps[-1] / 2.0)
@@ -195,17 +187,14 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
         improved = True
         while improved:
             improved = False
-            for dls, dsv in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand_ls = min(max(ls * math.exp(dls), ls_grid[0]), ls_grid[-1])
-                cand_sv = min(max(sv * math.exp(dsv), sv_grid[0]), sv_grid[-1])
-                ll = _loglik(data, cand_ls, cand_sv, nr)
-                if ll > ll_best + 1e-12:
-                    ll_best, ls, sv = ll, cand_ls, cand_sv
+            for d in (step, -step):
+                cand_ls = min(max(ls * math.exp(d), ls_grid[0]), ls_grid[-1])
+                cand = _profile(np.exp(-D2 / (2.0 * cand_ls ** 2)) + nr * eye, data.y, sv_range)
+                if cand[0] > best[0] + 1e-12:
+                    best, ls = cand, float(cand_ls)
                     improved = True
 
-    R = np.exp(-D2 / (2.0 * ls ** 2)) + nr * eye
-    L_R, jit = _chol_with_jitter(R)
-    _, mean = _profile_loglik(L_R, data.y, np.array([sv]))
+    _, sv, mean, L_R, jit = best
     L = L_R * math.sqrt(sv)
     alpha = cho_solve((L, True), data.y - mean)
     return GPModel(
@@ -214,7 +203,7 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
         signal_var=sv,
         nugget=nr * sv,
         jitter=jit * sv,
-        mean=float(mean),
+        mean=mean,
         chol=L,
         alpha=alpha,
     )

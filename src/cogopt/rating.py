@@ -77,13 +77,30 @@ def _improvement(y_base: float, y: float) -> float:
 
 
 def _minmax(values: np.ndarray, larger_is_better: bool) -> np.ndarray:
-    if values.size == 1:
-        return np.ones(1)
+    if values.size <= 1:
+        return np.ones(values.size)
     lo, hi = float(values.min()), float(values.max())
     if hi - lo < 1e-15:
         return np.ones(values.size)
     norm = (values - lo) / (hi - lo)
     return norm if larger_is_better else 1.0 - norm
+
+
+def _normalize(rows: dict[str, dict], pids: list[str]) -> dict[str, dict]:
+    """Each factor min-max normalized among `pids` (best -> 1, worst -> 0)."""
+    imp = _minmax(np.array([rows[p]["improvement"] for p in pids]), larger_is_better=True)
+    mem = _minmax(np.array([rows[p]["mem_ratio"] for p in pids]), larger_is_better=False)
+    cpu = _minmax(np.array([rows[p]["cpu_ratio"] for p in pids]), larger_is_better=False)
+    return {p: {"norm_obj": a, "norm_mem": b, "norm_cpu": c}
+            for p, a, b, c in zip(pids, imp, mem, cpu)}
+
+
+def _mean_rows(rowlist: list[dict]) -> dict[str, float]:
+    return {k: float(np.mean([r[k] for r in rowlist])) for k in rowlist[0]}
+
+
+# the normalized scores of a pipeline that never improved on the baseline
+_ELIMINATED = {"norm_obj": 0.0, "norm_mem": 0.0, "norm_cpu": 0.0, "aggregate": 0.0}
 
 
 def rate_pipelines(
@@ -112,22 +129,13 @@ def rate_pipelines(
             raw_per_pipeline.setdefault(pid, []).append(row)
         # survivor normalization: competitors that actually improved
         surv = [pid for pid, r in rows.items() if pid != baseline_id and r["improvement"] > 0.0]
-        if surv:
-            imp = _minmax(np.array([rows[p]["improvement"] for p in surv]), larger_is_better=True)
-            mem = _minmax(np.array([rows[p]["mem_ratio"] for p in surv]), larger_is_better=False)
-            cpu = _minmax(np.array([rows[p]["cpu_ratio"] for p in surv]), larger_is_better=False)
-            for p, a, b, c in zip(surv, imp, mem, cpu):
-                agg = (weights.w_objective * a + weights.w_memory * b + weights.w_cpu * c)
-                per_pipeline.setdefault(p, []).append(
-                    {**rows[p], "norm_obj": a, "norm_mem": b, "norm_cpu": c, "aggregate": agg}
-                )
+        for p, norms in _normalize(rows, surv).items():
+            agg = (weights.w_objective * norms["norm_obj"] + weights.w_memory * norms["norm_mem"]
+                   + weights.w_cpu * norms["norm_cpu"])
+            per_pipeline.setdefault(p, []).append({**rows[p], **norms, "aggregate": agg})
         # whole-field normalization feeds the knowledge-base update
-        allp = list(rows)
-        imp = _minmax(np.array([rows[p]["improvement"] for p in allp]), larger_is_better=True)
-        mem = _minmax(np.array([rows[p]["mem_ratio"] for p in allp]), larger_is_better=False)
-        cpu = _minmax(np.array([rows[p]["cpu_ratio"] for p in allp]), larger_is_better=False)
-        for p, a, b, c in zip(allp, imp, mem, cpu):
-            update_rows.setdefault(p, []).append({"norm_obj": a, "norm_mem": b, "norm_cpu": c})
+        for p, norms in _normalize(rows, list(rows)).items():
+            update_rows.setdefault(p, []).append(norms)
         for p in rows:
             per_pipeline.setdefault(p, [])
 
@@ -138,19 +146,11 @@ def rate_pipelines(
         if pid == baseline_id:
             continue
         if rowlist:
-            mean = {k: float(np.mean([r[k] for r in rowlist])) for k in rowlist[0]}
-            ratings[pid] = PipelineRating(pipeline=pid, **mean)
             survivors.append(pid)
         else:
-            raw = raw_per_pipeline[pid]
-            ratings[pid] = PipelineRating(
-                pipeline=pid,
-                improvement=float(np.mean([r["improvement"] for r in raw])),
-                mem_ratio=float(np.mean([r["mem_ratio"] for r in raw])),
-                cpu_ratio=float(np.mean([r["cpu_ratio"] for r in raw])),
-                norm_obj=0.0, norm_mem=0.0, norm_cpu=0.0, aggregate=0.0,
-            )
+            rowlist = [{**r, **_ELIMINATED} for r in raw_per_pipeline[pid]]
             eliminated.append(pid)
+        ratings[pid] = PipelineRating(pipeline=pid, **_mean_rows(rowlist))
 
     # rank survivors: larger aggregate first; ties favor frugal resource use
     order = sorted(
@@ -169,7 +169,7 @@ def rate_pipelines(
 
     updates = []
     for pid, rowlist in update_rows.items():
-        mean = {k: float(np.mean([r[k] for r in rowlist])) for k in rowlist[0]}
+        mean = _mean_rows(rowlist)
         updates.append(KbUpdate(
             algorithm=pid,
             performance=mean["norm_obj"],

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from cogopt import cognition
+from cogopt import cognition, optimizers
 from cogopt.cognition import (
     CognitionConfig,
     CognitionState,
@@ -205,6 +205,14 @@ class TestControlFlow:
         assert len(state.best_history) == 4
         assert state.best_history == sorted(state.best_history, reverse=True)
 
+    def test_no_off_schedule_selection_once_data_stops(self, monkeypatch):
+        # four cycles of data, then a silent plant: the flat best_history must
+        # not re-run selection on unchanged data
+        state, _ = self.run_steps(monkeypatch, [0.9, 0.8, 0.7, 0.6], proposals=[], n=12)
+        ran = [e["iteration"] for e in state.log_entries if e["selection_ran"]]
+        assert ran == [0, 4, 8]
+        assert all(e["zeta"] == 0 for e in state.log_entries[4:])
+
 
 @pytest.fixture(scope="module")
 def cycle_result():
@@ -239,3 +247,16 @@ class TestSelectionCycle:
         state, _ = cycle_result
         if state.p_best is not None:
             assert state.p_best in {r.pipeline for r in state.e}
+
+
+def test_programming_error_in_an_optimizer_propagates(monkeypatch):
+    def broken(problem, seed, **params):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setitem(optimizers._RUNNERS, optimizers.BASELINE, broken)
+    plant = VpsSimulator(noise_sd=0.02, seed=0)
+    cfg = CognitionConfig(s=6, theta=3, k_instances=3, tuning_budget=2,
+                          bench_budget=12, reps=2, master_seed=0)
+    state = bootstrap(CognitionState(), plant, cfg)
+    with pytest.raises(TypeError, match="unexpected argument"):
+        step(state, plant, default_kb(), cfg, GOAL)

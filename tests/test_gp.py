@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from cogopt import gp
-from cogopt.errors import SchemaError
+from cogopt.errors import SchemaError, SingularCovariance
 
 BOUNDS = [[0.0, 1.0]]
 
@@ -70,6 +73,71 @@ class TestFit:
         model = gp.fit(ds)
         assert model.state_bytes() == 8 * 10 * 2 + 8 * 100
 
+
+
+@st.composite
+def degenerate_datasets(draw):
+    """Few distinct sites (so duplicate X is common), constant or free y,
+    and bound widths from 1e-6 to 1e6."""
+    width = 10.0 ** draw(st.floats(-6.0, 6.0))
+    lo = draw(st.floats(-10.0, 10.0))
+    n = draw(st.integers(2, 12))
+    sites = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=n))
+    idx = draw(st.lists(st.integers(0, len(sites) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        y = np.full(n, draw(st.floats(-1e3, 1e3)))
+    else:
+        y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    X = lo + width * np.array([sites[i] for i in idx])
+    return gp.Dataset(X=X.reshape(-1, 1), y=y, bounds=[[lo, lo + width]])
+
+
+def grid_loglik(data: gp.Dataset, noise: bool) -> float:
+    """Best log likelihood over a 32 x 32 (x 8) log grid of lengthscale,
+    signal variance (and noise ratio), with K = sv * (R + jitter I) and the
+    GLS mean: the earlier grid search's search space."""
+    width = float(np.mean(data.bounds[:, 1] - data.bounds[:, 0]))
+    vy = max(float(np.var(data.y)), 1e-12)
+    sv = np.geomspace(1e-4 * vy, 4.0 * vy, 32)
+    n, y = data.n, data.y
+    D2 = (data.X - data.X.T) ** 2
+    best = -np.inf
+    for ls in np.geomspace(1e-3 * width, 2.0 * width, 32):
+        for nr in (np.geomspace(1e-6, 1.0, 8) if noise else [0.0]):
+            try:
+                L, _ = gp._chol_with_jitter(np.exp(-D2 / (2.0 * ls ** 2)) + nr * np.eye(n))
+            except SingularCovariance:
+                continue
+            Li_y = solve_triangular(L, y, lower=True)
+            Li_1 = solve_triangular(L, np.ones(n), lower=True)
+            r = Li_y - (Li_1 @ Li_y) / (Li_1 @ Li_1) * Li_1
+            logdet_K = n * np.log(sv) + 2.0 * np.sum(np.log(np.diag(L)))
+            ll = -0.5 * (n * np.log(2.0 * np.pi) + logdet_K + (r @ r) / sv)
+            best = max(best, float(ll.max()))
+    return best
+
+
+def model_loglik(model: gp.GPModel) -> float:
+    r = solve_triangular(model.chol, model.data.y - model.mean, lower=True)
+    logdet = 2.0 * np.sum(np.log(np.diag(model.chol)))
+    return float(-0.5 * (model.data.n * np.log(2.0 * np.pi) + logdet + r @ r))
+
+
+class TestFitProperties:
+    @pytest.mark.parametrize("noise", [False, True])
+    @settings(max_examples=30, deadline=None)
+    @given(data=degenerate_datasets())
+    def test_finite_fit_at_least_as_likely_as_the_full_grid(self, noise, data):
+        try:
+            model = gp.fit(data, noise=noise)
+        except SingularCovariance:
+            return
+        assert np.isfinite(model.lengthscale)
+        assert model.signal_var > 0.0
+        assert np.all(np.isfinite(model.alpha))
+        # the closed-form signal variance beats every grid value of it
+        best = grid_loglik(data, noise)
+        assert model_loglik(model) >= best - 1e-9 * max(1.0, abs(best))
 
 class TestPredict:
     def test_interpolates_training_points(self):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogopt.benchmark import EvaluationRecord
 from cogopt.errors import ConstraintViolation, MissingBaseline
@@ -145,3 +147,35 @@ class TestRatePipelines:
         table, _, _ = rate_pipelines(forced_fixture(), "Base", RatingWeights())
         ranks = sorted(table.ratings[p].rank for p in table.survivors)
         assert ranks == [1.0, 2.0]
+
+
+@st.composite
+def rating_groups(draw):
+    """Records in random (instance, budget) groups, each holding the baseline;
+    any record, the baseline's included, may report zero CPU or zero memory.
+    Nonzero values stay above a nanosecond and a byte."""
+    others = [f"P{i}" for i in range(draw(st.integers(0, 4)))]
+    cpu = st.one_of(st.just(0.0), st.floats(1e-9, 10.0))
+    mem = st.one_of(st.just(0.0), st.floats(1.0, 1e6))
+    records = []
+    for instance in range(draw(st.integers(1, 3))):
+        budgets = draw(st.lists(st.sampled_from([6, 12, 36]), min_size=1, max_size=3, unique=True))
+        for budget in budgets:
+            for p in ["Base"] + [p for p in others if draw(st.booleans())]:
+                records.append(rec(p, best_y=draw(st.floats(-10.0, 10.0)), cpu=draw(cpu),
+                                   mem=draw(mem), instance=f"i{instance}", budget=budget))
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=rating_groups(),
+       weights=st.sampled_from([RatingWeights(0.8, 0.1, 0.1), RatingWeights(0.5, 0.25, 0.25)]))
+def test_rating_and_kb_update_fields_stay_in_unit_interval(records, weights):
+    table, p_best, updates = rate_pipelines(records, "Base", weights)
+    for r in table.ratings.values():
+        for v in (r.norm_obj, r.norm_mem, r.norm_cpu, r.aggregate):
+            assert 0.0 <= v <= 1.0
+    for u in updates:
+        for v in (u.performance, u.computational_effort, u.ram_usage):
+            assert 0.0 <= v <= 1.0
+    assert p_best is None or p_best in table.survivors
