@@ -12,8 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from . import gp, optimizers
 from .errors import (
@@ -64,13 +63,14 @@ def generate_test_functions(
     master_seed: int = 0,
     grid_size: int = gp.GRID_SIZE,
 ) -> TestInstanceSet:
-    """Fit a GP to the process data and draw k unconditional instances."""
+    """Fit a GP to the process data and draw k unconditional instances.
+
+    The instances share one sampler, so the decomposition method factors the
+    grid's prior once for all k draws.
+    """
     model = gp.fit(data, noise=True)
-    grid = gp.default_grid(data.bounds, grid_size)
-    instances = tuple(
-        gp.simulate_unconditional(model, grid, method=method, seed=derive_seed(master_seed, i))
-        for i in range(k)
-    )
+    draw = gp.unconditional_sampler(model, gp.default_grid(data.bounds, grid_size), method)
+    instances = tuple(draw(derive_seed(master_seed, i)) for i in range(k))
     return TestInstanceSet(instances=instances, source_model=model, master_seed=master_seed)
 
 
@@ -244,6 +244,25 @@ def run_campaign(
     return records
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their positions.
+
+    The same values as `scipy.stats.rankdata(values, method="average")`: a
+    stable sort, one group per run of equal values, and all ranks NaN when any
+    value is NaN.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    counts = np.diff(starts, append=values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(starts + 1.0 + (counts - 1) / 2, counts)
+    return ranks
+
+
 def rank_algorithms(records: list[EvaluationRecord], by: str = "best_y") -> list[EvaluationRecord]:
     """Assign within-(instance, budget) ranks; rank 1 is best, ties mid-ranked."""
     if by not in ("best_y", "aggregate"):
@@ -260,7 +279,7 @@ def rank_algorithms(records: list[EvaluationRecord], by: str = "best_y") -> list
         vals = np.array([records[i].best_y for i in idxs])
         if by == "aggregate":
             vals = -vals  # larger aggregate is better
-        ranks = rankdata(vals, method="average")
+        ranks = _average_ranks(vals)
         for i, r in zip(idxs, ranks):
             out[i] = replace(records[i], rank=float(r))
     return out
@@ -289,7 +308,7 @@ def pearson_correlation(a, b) -> CorrelationResult:
         t_stat, p = np.inf, 0.0
     else:
         t_stat = r * np.sqrt(df / (1.0 - r * r))
-        p = float(2.0 * t_dist.sf(abs(t_stat), df))
+        p = float(2.0 * stdtr(df, -abs(t_stat)))  # two-sided Student t tail
     # Fisher-z 95% confidence interval
     if abs(r) == 1.0:
         ci = (r, r)

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import gp
 from .errors import BudgetExhausted, ConfigError, OutOfBounds, SingularCovariance
@@ -385,7 +385,8 @@ def latin_hypercube(rng, bounds, n: int) -> np.ndarray:
 def _expected_improvement(mu, var, y_best):
     sd = np.sqrt(np.maximum(var, 1e-18))
     z = (y_best - mu) / sd
-    return (y_best - mu) * norm.cdf(z) + sd * norm.pdf(z)
+    pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
+    return (y_best - mu) * ndtr(z) + sd * pdf
 
 
 def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
@@ -434,7 +435,7 @@ def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
             mu, var = gp.predict(model, cand)
             ei = _expected_improvement(mu, var, f.best_y)
             xn = cand[int(np.argmax(ei))]
-            if any(np.allclose(xn, xi, atol=1e-12) for xi in X):
+            if np.isclose(xn, np.asarray(X), atol=1e-12).all(axis=1).any():
                 xn = _uniform(rng, problem.bounds)
         yn = f(xn)
         X.append(np.asarray(xn, dtype=float).ravel())

@@ -39,6 +39,15 @@ class TestGenerateTestFunctions:
         for ra, rb in zip(a.instances, b.instances):
             assert np.array_equal(ra.values, rb.values)
 
+    @pytest.mark.parametrize("method", ["decomposition", "spectral"])
+    def test_instances_equal_single_draws(self, method):
+        S = bm.generate_test_functions(make_dataset(), 3, method=method, master_seed=2)
+        grid = gp.default_grid(BOUNDS)
+        for i, inst in enumerate(S.instances):
+            one = gp.simulate_unconditional(S.source_model, grid, method=method,
+                                            seed=bm.derive_seed(2, i))
+            assert np.array_equal(inst.values, one.values) and inst.seed == one.seed
+
     def test_instances_differ_pairwise(self):
         S = bm.generate_test_functions(make_dataset(), 5, master_seed=1)
         for i in range(5):
@@ -131,6 +140,15 @@ class TestRankAlgorithms:
         assert sum(r.rank for r in ranked) == pytest.approx(n * (n + 1) / 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0, np.inf]), min_size=1, max_size=12)
+       | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12))
+def test_average_ranks_equal_scipy_rankdata(values):
+    from scipy.stats import rankdata
+    values = np.array(values)
+    assert np.array_equal(bm._average_ranks(values), rankdata(values, method="average"))
+
+
 class TestPearson:
     def test_identity(self):
         res = bm.pearson_correlation([1, 2, 3, 4], [1, 2, 3, 4])
@@ -165,6 +183,19 @@ class TestPearson:
         # the small residual)
         t = 0.823 * math.sqrt(64 / (1 - 0.823 ** 2))
         assert t == pytest.approx(11.575, abs=0.05)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=30), seed=st.integers(0, 99))
+    def test_p_value_equals_scipy_t_tail(self, a, seed):
+        from scipy.stats import t as t_dist
+        a = np.array(a)
+        b = a + np.random.default_rng(seed).standard_normal(a.size)
+        try:
+            res = bm.pearson_correlation(a, b)
+        except DegenerateInput:
+            return
+        if np.isfinite(res.t_statistic):
+            assert res.p_value == float(2.0 * t_dist.sf(abs(res.t_statistic), res.df))
 
     def test_symmetry_and_affine_invariance(self):
         rng = np.random.default_rng(1)

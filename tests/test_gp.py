@@ -139,6 +139,95 @@ class TestFitProperties:
         best = grid_loglik(data, noise)
         assert model_loglik(model) >= best - 1e-9 * max(1.0, abs(best))
 
+
+def ladder_reference(R: np.ndarray):
+    """One matrix at a time up the jitter ladder: (L, jitter), or (None, None)."""
+    for jit in (0.0,) + gp._JITTER_LADDER:
+        try:
+            return np.linalg.cholesky(R + jit * np.eye(len(R))), jit
+        except np.linalg.LinAlgError:
+            continue
+    return None, None
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A stack of n x n matrices, each positive definite, singular (duplicate
+    rows, shifted down so that it needs some rung of the jitter ladder) or
+    indefinite (never factors)."""
+    n = draw(st.integers(2, 8))
+    kinds = draw(st.lists(st.sampled_from(["pd", "singular", "indefinite"]),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for kind in kinds:
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+        if kind == "singular":
+            x[-1] = x[0]
+        R = np.exp(-(x[:, None] - x[None, :]) ** 2 / (2.0 * rng.uniform(0.05, 2.0) ** 2))
+        if kind == "singular":
+            R -= rng.choice([0.0, 3e-10, 3e-9, 3e-8, 3e-7]) * np.eye(n)
+        elif kind == "pd":
+            R += 1e-3 * np.eye(n)
+        elif kind == "indefinite":
+            R[0, 0] = -1.0
+        mats.append(R)
+    return np.stack(mats)
+
+
+class TestStackedFactorization:
+    @settings(max_examples=60, deadline=None)
+    @given(R=mixed_stacks())
+    def test_each_slice_matches_the_one_matrix_ladder(self, R):
+        L, jitter = gp._chol_stack(R)
+        for b in range(len(R)):
+            want_L, want_jit = ladder_reference(R[b])
+            if want_L is None:
+                assert np.all(np.isnan(L[b])) and np.isnan(jitter[b])
+                with pytest.raises(SingularCovariance):
+                    gp._chol_with_jitter(R[b])
+            else:
+                assert np.array_equal(L[b], want_L) and jitter[b] == want_jit
+                one_L, one_jit = gp._chol_with_jitter(R[b])
+                assert np.array_equal(one_L, want_L) and one_jit == want_jit
+        ll, sv, mean = gp._profile(L, np.linspace(0.0, 1.0, R.shape[-1]) ** 2, (1e-4, 4.0))
+        assert np.all(np.isneginf(ll) == np.isnan(jitter))
+
+    @settings(max_examples=30, deadline=None)
+    @given(R=mixed_stacks(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_profile_matches_one_slice_at_a_time(self, R, seed):
+        y = np.random.default_rng(seed).standard_normal(R.shape[-1])
+        L, _ = gp._chol_stack(R)
+        ll, sv, mean = gp._profile(L, y, (1e-4, 4.0))
+        n = y.size
+        for b in np.flatnonzero(np.isfinite(ll)):
+            Li_y = solve_triangular(L[b], y, lower=True)
+            Li_1 = solve_triangular(L[b], np.ones(n), lower=True)
+            m = float((Li_1 @ Li_y) / (Li_1 @ Li_1))
+            r = Li_y - m * Li_1
+            s = min(max((r @ r) / n, 1e-4), 4.0)
+            want = -0.5 * (n * np.log(2.0 * np.pi * s)
+                           + 2.0 * np.sum(np.log(np.diag(L[b]))) + (r @ r) / s)
+            assert (ll[b], sv[b], mean[b]) == (want, s, m)
+
+
+class TestFitRepeatable:
+    @pytest.mark.parametrize("noise", [False, True])
+    @settings(max_examples=20, deadline=None)
+    @given(data=degenerate_datasets())
+    def test_same_data_gives_equal_fields(self, noise, data):
+        try:
+            a = gp.fit(data, noise=noise)
+        except SingularCovariance:
+            with pytest.raises(SingularCovariance):
+                gp.fit(data, noise=noise)
+            return
+        b = gp.fit(data, noise=noise)
+        for name in ("lengthscale", "signal_var", "nugget", "jitter", "mean"):
+            assert getattr(a, name) == getattr(b, name)
+        assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
+
+
 class TestPredict:
     def test_interpolates_training_points(self):
         ds = make_dataset()

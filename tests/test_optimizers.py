@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cogopt
 from cogopt import optimizers as opt
 from cogopt.errors import ConfigError
 
@@ -242,3 +248,25 @@ def test_run_optimizer_rounds_integer_params():
 def test_run_optimizer_unknown_algorithm():
     with pytest.raises(ConfigError):
         opt.run_optimizer("GradientDescent", problem(sphere, SYM, 10), 0)
+
+
+def test_expected_improvement_equals_the_scipy_normal_form():
+    from scipy.stats import norm
+    rng = np.random.default_rng(0)
+    mu = rng.standard_normal(100_000) * 3.0
+    var = rng.uniform(0.0, 4.0, mu.size) ** 2
+    sd = np.sqrt(np.maximum(var, 1e-18))
+    z = (0.5 - mu) / sd
+    want = (0.5 - mu) * norm.cdf(z) + sd * norm.pdf(z)
+    assert np.array_equal(opt._expected_improvement(mu, var, 0.5), want)
+
+
+def test_cli_import_graph_leaves_out_scipy_stats():
+    src = str(Path(cogopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, cogopt.report, cogopt.cognition, cogopt.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
