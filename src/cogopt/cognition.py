@@ -23,7 +23,6 @@ from .errors import RECOVERABLE, SchemaError
 from .knowledge import (
     GoalSpec,
     KnowledgeBase,
-    PipelineTemplate,
     ResourceBudget,
     compose_pipelines,
     determine_feasible,
@@ -140,12 +139,6 @@ def _dataset(state: CognitionState, bounds) -> gp.Dataset:
     )
 
 
-def _pipeline_runs(pipeline: PipelineTemplate, kb: KnowledgeBase):
-    """Terminal algorithm name and its tunable parameter specs."""
-    entry = kb.find(pipeline.terminal_stage)
-    return entry.name, entry.parameters
-
-
 def run_selection_cycle(
     state: CognitionState,
     kb: KnowledgeBase,
@@ -179,9 +172,9 @@ def run_selection_cycle(
 
     records = []
     for i, pipeline in enumerate(candidates):
-        algo, specs = _pipeline_runs(pipeline, kb)
+        entry = kb.find(pipeline.terminal_stage)
         records.extend(tune_then_benchmark(
-            pipeline.pipeline_id, algo, specs, S, bbounds,
+            pipeline.pipeline_id, entry.name, entry.parameters, S, bbounds,
             tuning_budget=config.tuning_budget,
             bench_budget=config.bench_budget,
             reps=config.reps,

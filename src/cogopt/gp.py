@@ -3,11 +3,10 @@
 A single squared-exponential kernel with constant mean is used throughout.
 The signal variance and the mean are solved in closed form; the lengthscale
 comes from a deterministic log-space grid search refined by a local pattern
-search, so fitting the same data always yields the same model.  The fit
-scores a whole stack of correlation matrices at once: the grid's 32 (or, with
-a noise term, 256) matrices are built from one squared-distance matrix and
-factored by one `np.linalg.cholesky` call, and only the slices that fail climb
-the jitter ladder; each pattern-search round factors its two moves together.
+search, so fitting the same data always yields the same model.  Every
+candidate's correlation matrix is built from one squared-distance matrix and
+factored on its own by LAPACK's `dpotrf`, climbing a jitter ladder when it is
+not numerically positive definite.
 Simulation supports both decomposition (exact joint draw via Cholesky) and a
 truncated spectral (random cosine features) expansion; conditional draws use
 conditioning by kriging and therefore reproduce the training observations.
@@ -20,16 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import SchemaError, SingularCovariance
 
 GRID_SIZE = 512            # default realization grid resolution
 SPECTRAL_FEATURES = 256    # cosine features for the spectral method
 _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-# Matrix entries per factored stack (8 MB of float64): bounds the memory of a
-# 256-matrix noise fit on a few hundred plant records.
-_STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -109,10 +105,6 @@ class Realization:
         x = np.asarray(x, dtype=float)
         return np.interp(x.ravel()[0] if x.ndim else float(x), self.grid, self.values)
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.grid, self.values]),
-                   delimiter=",", header="x,y", comments="")
-
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.atleast_2d(a)
@@ -124,107 +116,53 @@ def kernel(a, b, lengthscale: float, signal_var: float) -> np.ndarray:
     return signal_var * np.exp(-_sqdist(a, b) / (2.0 * lengthscale ** 2))
 
 
-def _factor(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a (B, n, n) stack; NaN where a slice fails."""
-    try:
-        return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        pass
-    L = np.full(A.shape, np.nan)
-    if len(A) > 1:  # numpy raises for the whole stack: retry slice by slice
-        for i, a in enumerate(A):
-            try:
-                L[i] = np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                pass
-    return L
-
-
-def _chol_stack(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of a (B, n, n) stack of correlation-scale matrices.
-
-    The whole stack is factored by one `np.linalg.cholesky` call, and only the
-    slices that fail climb the jitter ladder.  Returns the factors and the
-    jitter each slice needed; a slice that does not factor even at the top of
-    the ladder has a NaN factor and a NaN jitter.
-    """
-    L = _factor(R)
-    jitter = np.where(np.isnan(L[:, 0, 0]), np.nan, 0.0)
-    for jit in _JITTER_LADDER:
-        todo = np.flatnonzero(np.isnan(jitter))
-        if todo.size == 0:
-            break
-        L[todo] = _factor(R[todo] + jit * np.eye(R.shape[-1]))
-        jitter[todo] = np.where(np.isnan(L[todo, 0, 0]), np.nan, jit)
-    return L, jitter
-
-
 def _chol_with_jitter(R: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky of one correlation-scale matrix, climbing the jitter ladder."""
-    L, jitter = _chol_stack(R[None])
-    if np.isnan(jitter[0]):
-        raise SingularCovariance("covariance not positive definite at max jitter")
-    return L[0], float(jitter[0])
+    """Lower Cholesky of one correlation-scale matrix, climbing the jitter ladder.
+
+    Returns the (Fortran-ordered) factor and the jitter it needed.
+    """
+    for jit in (0.0,) + _JITTER_LADDER:
+        L, info = dpotrf(R + jit * np.eye(len(R)) if jit else R, lower=1, clean=1)
+        if info == 0:
+            return L, jit
+    raise SingularCovariance("covariance not positive definite at max jitter")
 
 
-def _profile(L: np.ndarray, y: np.ndarray, sv_range: tuple[float, float]):
-    """Score a stack of factors L of correlation matrices R: (loglik, sv, mean).
+def _score(D2: np.ndarray, y: np.ndarray, ls: float, nr: float,
+           sv_range: tuple[float, float]):
+    """Factor and score R = exp(-D2 / 2 ls^2) + nr I: (loglik, sv, mean, L, jitter).
 
     K = sv * R, so for a fixed R the log likelihood
     -1/2 (n log(2 pi sv) + log|R| + q / sv) has a single peak at sv = q / n,
     where q = (y - m)^T R^-1 (y - m); clipping it to `sv_range` gives the exact
     optimum within the range.  The constant mean m is estimated by generalized
-    least squares.  Each slice needs two triangular solves; the rest is done
-    on the whole stack.  A slice with a NaN factor (it never factored) scores
-    -inf.
+    least squares.  A matrix that never factors scores (-inf,).
     """
     n = y.size
-    Li_y = np.full(L.shape[:2], np.nan)
-    Li_1 = np.full(L.shape[:2], np.nan)
-    ones = np.ones(n)
-    for b in np.flatnonzero(~np.isnan(L[:, 0, 0])):
-        # L[b].T is Fortran-ordered: the same LAPACK call solve_triangular makes
-        Li_y[b] = dtrtrs(L[b].T, y, lower=0, trans=1)[0]
-        Li_1[b] = dtrtrs(L[b].T, ones, lower=0, trans=1)[0]
-    mean = _rowdot(Li_1, Li_y) / _rowdot(Li_1, Li_1)
-    r = Li_y - mean[:, None] * Li_1
-    quad = _rowdot(r, r)
-    sv = np.clip(quad / n, *sv_range)
-    logdet_R = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-    ll = -0.5 * (n * np.log(2.0 * np.pi * sv) + logdet_R + quad / sv)
-    return np.where(np.isnan(ll), -np.inf, ll), sv, mean
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, each the same BLAS dot as a 1-d `a[i] @ b[i]`."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _score(D2: np.ndarray, y: np.ndarray, ls: np.ndarray, nr: np.ndarray,
-           sv_range: tuple[float, float]):
-    """Factor and profile the stack R_b = exp(-D2 / 2 ls_b^2) + nr_b I.
-
-    Returns (loglik, sv, mean, L, jitter), one entry per (ls_b, nr_b) pair.
-    """
-    R = -D2 / (2.0 * ls[:, None, None] ** 2)
-    np.exp(R, out=R)
-    diag = np.arange(y.size)
-    R[:, diag, diag] += nr[:, None]
-    L, jitter = _chol_stack(R)
-    return (*_profile(L, y, sv_range), L, jitter)
+    try:
+        L, jitter = _chol_with_jitter(np.exp(-D2 / (2.0 * ls ** 2)) + nr * np.eye(n))
+    except SingularCovariance:
+        return (-np.inf,)
+    # the LAPACK call solve_triangular(L, ., lower=True) makes on this factor
+    Li_y = dtrtrs(L, y, lower=1)[0]
+    Li_1 = dtrtrs(L, np.ones(n), lower=1)[0]
+    mean = float((Li_1 @ Li_y) / (Li_1 @ Li_1))
+    r = Li_y - mean * Li_1
+    quad = r @ r
+    sv = min(max(quad / n, sv_range[0]), sv_range[1])
+    ll = -0.5 * (n * np.log(2.0 * np.pi * sv) + 2.0 * np.log(L.diagonal()).sum() + quad / sv)
+    return ll, sv, mean, L, jitter
 
 
 def fit(data: Dataset, noise: bool = False) -> GPModel:
     """Deterministic maximum-marginal-likelihood fit of the SE kernel.
 
     The signal variance and the mean are solved in closed form for each
-    correlation matrix (see `_profile`), so only the lengthscale is searched:
+    correlation matrix (see `_score`), so only the lengthscale is searched:
     a 32-point log grid (times an 8-point noise-ratio grid when `noise` is
-    set), then one pattern-search pass over the lengthscale at the winning
-    noise ratio.  The grid's correlation matrices are built from one squared
-    distance matrix and factored as one stack (in chunks of at most
-    `_STACK_ENTRIES` entries); each pattern-search round factors its two
-    moves as one 2-slice stack, and the `+step` move wins when both improve.
+    set), where the first strict maximum wins, then one pattern-search pass
+    over the lengthscale at the winning noise ratio, trying `+step` before
+    `-step`.  Each candidate's correlation matrix is factored on its own.
     """
     width = float(np.mean(data.bounds[:, 1] - data.bounds[:, 0]))
     vy = max(float(np.var(data.y)), 1e-12)
@@ -233,16 +171,12 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
     noise_grid = np.geomspace(1e-6, 1.0, 8) if noise else np.array([0.0])
 
     D2 = _sqdist(data.X, data.X)
-    cand_ls = np.repeat(ls_grid, noise_grid.size)
-    cand_nr = np.tile(noise_grid, ls_grid.size)
-    chunk = max(1, _STACK_ENTRIES // data.n ** 2)
     best, ls, nr = (-np.inf,), float(ls_grid[0]), 0.0
-    for s in range(0, cand_ls.size, chunk):
-        scored = _score(D2, data.y, cand_ls[s:s + chunk], cand_nr[s:s + chunk], sv_range)
-        k = int(np.argmax(scored[0]))
-        if scored[0][k] > best[0]:
-            best = tuple(a[k] for a in scored)
-            ls, nr = float(cand_ls[s + k]), float(cand_nr[s + k])
+    for cand_ls in ls_grid:
+        for cand_nr in noise_grid:
+            scored = _score(D2, data.y, cand_ls, cand_nr, sv_range)
+            if scored[0] > best[0]:
+                best, ls, nr = scored, float(cand_ls), float(cand_nr)
     if not np.isfinite(best[0]):
         raise SingularCovariance("no hyperparameter setting factorized")
 
@@ -253,17 +187,16 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
     for step in steps:
         improved = True
         while improved:
-            moves = np.array([min(max(ls * math.exp(d), ls_grid[0]), ls_grid[-1])
-                              for d in (step, -step)])
-            scored = _score(D2, data.y, moves, np.full(2, nr), sv_range)
-            better = np.flatnonzero(scored[0] > best[0] + 1e-12)
-            improved = better.size > 0
-            if improved:
-                best = tuple(a[better[0]] for a in scored)
-                ls = float(moves[better[0]])
+            improved = False
+            for d in (step, -step):
+                move = min(max(ls * math.exp(d), ls_grid[0]), ls_grid[-1])
+                scored = _score(D2, data.y, move, nr, sv_range)
+                if scored[0] > best[0] + 1e-12:
+                    best, ls, improved = scored, float(move), True
+                    break
 
     _, sv, mean, L_R, jit = best
-    sv, mean = float(sv), float(mean)
+    sv = float(sv)
     L = L_R * math.sqrt(sv)
     alpha = cho_solve((L, True), data.y - mean)
     return GPModel(
@@ -271,7 +204,7 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
         lengthscale=ls,
         signal_var=sv,
         nugget=nr * sv,
-        jitter=float(jit) * sv,
+        jitter=jit * sv,
         mean=mean,
         chol=L,
         alpha=alpha,

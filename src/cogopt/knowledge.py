@@ -176,13 +176,10 @@ class PipelineTemplate:
     """An executable chain of algorithm stages, first stage consumes raw data."""
 
     stages: tuple[str, ...]
-    terminal_input: str = RAW_DATA
 
     def __post_init__(self):
         if not self.stages:
             raise SchemaError("pipeline needs at least one stage")
-        if self.terminal_input != RAW_DATA:
-            raise SchemaError("pipelines must start from raw data")
 
     @property
     def pipeline_id(self) -> str:

@@ -53,6 +53,7 @@ def campaigns():
     return out, time.time() - t0
 
 
+@pytest.mark.slow
 def test_01_simulation_fidelity(campaigns):
     records_by_seed, elapsed = campaigns
     good = 0
@@ -68,6 +69,7 @@ def test_01_simulation_fidelity(campaigns):
             f"(r in [{min(rs):.3f}, {max(rs):.3f}]), campaign took {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_02_surrogate_dominance(campaigns):
     records_by_seed, _ = campaigns
     budgets = (18, 24, 30, 36)  # the checkpoints at or above budget 15
@@ -85,6 +87,7 @@ def test_02_surrogate_dominance(campaigns):
             f"KrigingSBO beats RandomSearch at every budget >= 15 for {good}/{N_SEEDS} seeds")
 
 
+@pytest.mark.slow
 def test_03_memory_shape(campaigns):
     records_by_seed, _ = campaigns
     records = records_by_seed[0]

@@ -7,7 +7,6 @@ from cogopt.knowledge import (
     GoalSpec,
     KnowledgeBase,
     ParameterSpec,
-    PipelineTemplate,
     ResourceBudget,
     compose_pipelines,
     default_kb,
@@ -172,10 +171,6 @@ class TestCompose:
         other = GoalSpec("Optimization", ("f",), "max", "minimize")
         with pytest.raises(UnknownGoal):
             compose_pipelines(kb, other)
-
-    def test_templates_start_from_raw_data(self):
-        with pytest.raises(SchemaError):
-            PipelineTemplate(stages=("A",), terminal_input="preprocessed data")
 
 
 class TestFeasibility:
