@@ -59,17 +59,16 @@ def derive_seed(master_seed: int, *key: int) -> int:
 def generate_test_functions(
     data: gp.Dataset,
     k: int,
-    method: str = "decomposition",
     master_seed: int = 0,
     grid_size: int = gp.GRID_SIZE,
 ) -> TestInstanceSet:
     """Fit a GP to the process data and draw k unconditional instances.
 
-    The instances share one sampler, so the decomposition method factors the
-    grid's prior once for all k draws.
+    The instances share one sampler, so the grid's prior is factored once for
+    all k draws.
     """
     model = gp.fit(data, noise=True)
-    draw = gp.unconditional_sampler(model, gp.default_grid(data.bounds, grid_size), method)
+    draw = gp.unconditional_sampler(model, gp.default_grid(data.bounds, grid_size))
     instances = tuple(draw(derive_seed(master_seed, i)) for i in range(k))
     return TestInstanceSet(instances=instances, source_model=model, master_seed=master_seed)
 

@@ -340,8 +340,7 @@ def simulate(ctx, instances):
         plant = _make_plant(cfg)
         out = _prepare_out(cfg)
         k = instances if instances is not None else cfg.campaign.k_instances
-        objectives = report.build_objectives(plant, k, cfg.cognition.master_seed,
-                                             cfg.cognition.sim_method)
+        objectives = report.build_objectives(plant, k, cfg.cognition.master_seed)
         grid = np.linspace(plant.bounds[0], plant.bounds[1], gp.GRID_SIZE)
         path = out / "simulations.csv"
         with open(path, "w") as fh:

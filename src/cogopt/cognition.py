@@ -51,7 +51,6 @@ class CognitionConfig:
     master_seed: int = 0
     design_kind: str = "full_factorial"
     design_reps: int = 1
-    sim_method: str = "decomposition"
     resources: ResourceBudget = field(default_factory=ResourceBudget)
 
     def __post_init__(self):
@@ -149,9 +148,7 @@ def run_selection_cycle(
     """Simulate, benchmark candidates, rate, and fold results into the KB."""
     cycle_seed = derive_seed(config.master_seed, 0xC, state.iteration)
     data = _dataset(state, bounds)
-    S = generate_test_functions(
-        data, config.k_instances, method=config.sim_method, master_seed=cycle_seed
-    )
+    S = generate_test_functions(data, config.k_instances, master_seed=cycle_seed)
 
     pipelines = compose_pipelines(kb, goal)
     feasible = determine_feasible(pipelines, kb, goal, data_size=len(state.d))

@@ -24,7 +24,7 @@ class UnknownAlgorithm(CogoptError):
 
 
 class SingularCovariance(CogoptError):
-    """Covariance decomposition failed even at the maximum jitter level."""
+    """A covariance matrix plus its nugget is not numerically positive definite."""
 
 
 class ConfigError(CogoptError):

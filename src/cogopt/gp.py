@@ -4,12 +4,13 @@ A single squared-exponential kernel with constant mean is used throughout.
 The signal variance and the mean are solved in closed form; the lengthscale
 comes from a deterministic log-space grid search refined by a local pattern
 search, so fitting the same data always yields the same model.  Every
-candidate's correlation matrix is built from one squared-distance matrix and
-factored on its own by LAPACK's `dpotrf`, climbing a jitter ladder when it is
-not numerically positive definite.
-Simulation supports both decomposition (exact joint draw via Cholesky) and a
-truncated spectral (random cosine features) expansion; conditional draws use
-conditioning by kriging and therefore reproduce the training observations.
+matrix the module factors is a correlation matrix R plus a nugget on its
+diagonal, max(noise ratio, 1e-10) (Ranjan, Haynes & Karsten 2011), factored
+once by LAPACK's `dpotrf` in `_chol`; the 1e-10 floor keeps the near-singular
+R of clustered data positive definite, so roundoff never picks the model.
+Unconditional draws multiply the Cholesky factor of the grid's prior by
+standard normals; conditional draws use conditioning by kriging and therefore
+reproduce the training observations up to the nugget.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from .errors import SchemaError, SingularCovariance
 
 GRID_SIZE = 512            # default realization grid resolution
-SPECTRAL_FEATURES = 256    # cosine features for the spectral method
-_JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+_NUGGET_FLOOR = 1e-10      # least nugget, as a fraction of the signal variance
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,6 @@ class Dataset:
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        if X.shape[0] == 1 and X.shape[1] > 1 and np.asarray(self.y).size == X.shape[1]:
-            X = X.T
         y = np.asarray(self.y, dtype=float).ravel()
         bounds = np.atleast_2d(np.asarray(self.bounds, dtype=float))
         object.__setattr__(self, "X", X)
@@ -70,11 +68,10 @@ class GPModel:
     data: Dataset
     lengthscale: float
     signal_var: float
-    nugget: float           # observation noise variance (0 when noise-free)
-    jitter: float           # numerical jitter actually used for the factor
+    nugget: float           # the whole diagonal term: max(noise ratio, 1e-10) * signal_var
     mean: float
-    chol: np.ndarray        # lower Cholesky factor of K + (nugget+jitter) I
-    alpha: np.ndarray       # (K + (nugget+jitter) I)^-1 (y - mean)
+    chol: np.ndarray        # lower Cholesky factor of K + nugget I
+    alpha: np.ndarray       # (K + nugget I)^-1 (y - mean)
 
     def state_bytes(self) -> int:
         """Deterministic size accounting: training set plus triangular factor."""
@@ -116,33 +113,30 @@ def kernel(a, b, lengthscale: float, signal_var: float) -> np.ndarray:
     return signal_var * np.exp(-_sqdist(a, b) / (2.0 * lengthscale ** 2))
 
 
-def _chol_with_jitter(R: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky of one correlation-scale matrix, climbing the jitter ladder.
+def _chol(R: np.ndarray, nr: float = 0.0) -> np.ndarray:
+    """Lower (Fortran-ordered) Cholesky factor of R + max(nr, 1e-10) I.
 
-    Returns the (Fortran-ordered) factor and the jitter it needed.
+    The nugget is added to R's diagonal in place.
     """
-    for jit in (0.0,) + _JITTER_LADDER:
-        L, info = dpotrf(R + jit * np.eye(len(R)) if jit else R, lower=1, clean=1)
-        if info == 0:
-            return L, jit
-    raise SingularCovariance("covariance not positive definite at max jitter")
+    R.flat[::len(R) + 1] += max(nr, _NUGGET_FLOOR)
+    L, info = dpotrf(R, lower=1, clean=1)
+    if info != 0:
+        raise SingularCovariance(f"covariance not positive definite (dpotrf info {info})")
+    return L
 
 
 def _score(D2: np.ndarray, y: np.ndarray, ls: float, nr: float,
            sv_range: tuple[float, float]):
-    """Factor and score R = exp(-D2 / 2 ls^2) + nr I: (loglik, sv, mean, L, jitter).
+    """Factor and score R = exp(-D2 / 2 ls^2) + max(nr, 1e-10) I: (loglik, sv, mean, L).
 
     K = sv * R, so for a fixed R the log likelihood
     -1/2 (n log(2 pi sv) + log|R| + q / sv) has a single peak at sv = q / n,
     where q = (y - m)^T R^-1 (y - m); clipping it to `sv_range` gives the exact
     optimum within the range.  The constant mean m is estimated by generalized
-    least squares.  A matrix that never factors scores (-inf,).
+    least squares.  Raises `SingularCovariance` when R does not factor.
     """
     n = y.size
-    try:
-        L, jitter = _chol_with_jitter(np.exp(-D2 / (2.0 * ls ** 2)) + nr * np.eye(n))
-    except SingularCovariance:
-        return (-np.inf,)
+    L = _chol(np.exp(-D2 / (2.0 * ls ** 2)), nr)
     # the LAPACK call solve_triangular(L, ., lower=True) makes on this factor
     Li_y = dtrtrs(L, y, lower=1)[0]
     Li_1 = dtrtrs(L, np.ones(n), lower=1)[0]
@@ -151,7 +145,7 @@ def _score(D2: np.ndarray, y: np.ndarray, ls: float, nr: float,
     quad = r @ r
     sv = min(max(quad / n, sv_range[0]), sv_range[1])
     ll = -0.5 * (n * np.log(2.0 * np.pi * sv) + 2.0 * np.log(L.diagonal()).sum() + quad / sv)
-    return ll, sv, mean, L, jitter
+    return ll, sv, mean, L
 
 
 def fit(data: Dataset, noise: bool = False) -> GPModel:
@@ -162,7 +156,10 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
     a 32-point log grid (times an 8-point noise-ratio grid when `noise` is
     set), where the first strict maximum wins, then one pattern-search pass
     over the lengthscale at the winning noise ratio, trying `+step` before
-    `-step`.  Each candidate's correlation matrix is factored on its own.
+    `-step`.  Each candidate's correlation matrix is factored on its own, with
+    the nugget max(noise ratio, 1e-10) on its diagonal, so a noise-free model
+    still carries a 1e-10 * signal_var nugget.  Raises `SingularCovariance`
+    when a candidate does not factor.
     """
     width = float(np.mean(data.bounds[:, 1] - data.bounds[:, 0]))
     vy = max(float(np.var(data.y)), 1e-12)
@@ -178,7 +175,7 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
             if scored[0] > best[0]:
                 best, ls, nr = scored, float(cand_ls), float(cand_nr)
     if not np.isfinite(best[0]):
-        raise SingularCovariance("no hyperparameter setting factorized")
+        raise SingularCovariance("no hyperparameter setting has a finite likelihood")
 
     # one compass pattern-search pass in log-lengthscale, shrinking steps
     steps = [math.log(ls_grid[1] / ls_grid[0]) / 2.0]
@@ -195,7 +192,7 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
                     best, ls, improved = scored, float(move), True
                     break
 
-    _, sv, mean, L_R, jit = best
+    _, sv, mean, L_R = best
     sv = float(sv)
     L = L_R * math.sqrt(sv)
     alpha = cho_solve((L, True), data.y - mean)
@@ -203,8 +200,7 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
         data=data,
         lengthscale=ls,
         signal_var=sv,
-        nugget=nr * sv,
-        jitter=jit * sv,
+        nugget=max(nr, _NUGGET_FLOOR) * sv,
         mean=mean,
         chol=L,
         alpha=alpha,
@@ -215,7 +211,7 @@ def predict(model: GPModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at one point or an array of points."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.data.dim:
-        x = x.reshape(-1, model.data.dim)
+        raise SchemaError(f"points need {model.data.dim} columns, got shape {x.shape}")
     Ks = kernel(x, model.data.X, model.lengthscale, model.signal_var)
     mean = model.mean + Ks @ model.alpha
     v = solve_triangular(model.chol, Ks.T, lower=True)
@@ -228,56 +224,39 @@ def default_grid(bounds, size: int = GRID_SIZE) -> np.ndarray:
     return np.linspace(bounds[0, 0], bounds[0, 1], size)
 
 
-def unconditional_sampler(model: GPModel, grid: np.ndarray, method: str = "decomposition"):
+def unconditional_sampler(model: GPModel, grid: np.ndarray):
     """A function seed -> Realization drawing zero-data realizations on `grid`.
 
-    The decomposition method factors the grid's prior correlation matrix once,
-    when the sampler is made, so every draw from one sampler shares it.
+    The grid's prior correlation matrix (plus the 1e-10 nugget) is factored
+    once, when the sampler is made, so every draw from one sampler shares it.
     """
     grid = np.asarray(grid, dtype=float).ravel()
-    if method == "decomposition":
-        pts = grid.reshape(-1, 1)
-        L, _ = _chol_with_jitter(np.exp(-_sqdist(pts, pts) / (2.0 * model.lengthscale ** 2)))
-    elif method != "spectral":
-        raise SchemaError(f"unknown simulation method {method!r}")
+    pts = grid.reshape(-1, 1)
+    L = _chol(np.exp(-_sqdist(pts, pts) / (2.0 * model.lengthscale ** 2)))
 
     def draw(seed: int) -> Realization:
-        rng = np.random.default_rng(seed)
-        if method == "decomposition":
-            z = rng.standard_normal(grid.size)
-            values = model.mean + math.sqrt(model.signal_var) * (L @ z)
-        else:
-            m = SPECTRAL_FEATURES
-            omega = rng.standard_normal(m) / model.lengthscale
-            phase = rng.uniform(0.0, 2.0 * np.pi, m)
-            amp = math.sqrt(2.0 * model.signal_var / m)
-            values = model.mean + amp * np.sum(
-                np.cos(np.outer(grid, omega) + phase), axis=1
-            )
+        z = np.random.default_rng(seed).standard_normal(grid.size)
+        values = model.mean + math.sqrt(model.signal_var) * (L @ z)
         return Realization(kind="unconditional", grid=grid, values=values, seed=seed)
     return draw
 
 
-def simulate_unconditional(
-    model: GPModel,
-    grid: np.ndarray,
-    method: str = "decomposition",
-    seed: int = 0,
-) -> Realization:
+def simulate_unconditional(model: GPModel, grid: np.ndarray, seed: int = 0) -> Realization:
     """Draw one zero-data realization of the fitted covariance on `grid`."""
-    return unconditional_sampler(model, grid, method)(seed)
+    return unconditional_sampler(model, grid)(seed)
 
 
 def simulate_conditional(model: GPModel, grid: np.ndarray, seed: int = 0) -> Realization:
     """Conditioning by kriging: unconditional draw bent through the data.
 
     The grid is augmented with the training inputs so the returned curve is
-    exact (not merely interpolated) at every observation.
+    exact (not merely interpolated) at every observation: there it equals the
+    posterior mean, up to the 1e-10 nugget on the training correlation matrix.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     X = model.data.X.ravel()
     full = np.unique(np.concatenate([grid, X]))
-    uncond = simulate_unconditional(model, full, method="decomposition", seed=seed)
+    uncond = simulate_unconditional(model, full, seed=seed)
 
     # posterior mean from the real observations
     m_data, _ = predict(model, full.reshape(-1, 1))
@@ -286,8 +265,7 @@ def simulate_conditional(model: GPModel, grid: np.ndarray, seed: int = 0) -> Rea
     idx = np.searchsorted(full, X)
     y_sim = uncond.values[idx]
     Kxx = kernel(model.data.X, model.data.X, model.lengthscale, model.signal_var)
-    L, jit = _chol_with_jitter(Kxx / model.signal_var)
-    L = L * math.sqrt(model.signal_var)
+    L = _chol(Kxx / model.signal_var) * math.sqrt(model.signal_var)
     Ks = kernel(full.reshape(-1, 1), model.data.X, model.lengthscale, model.signal_var)
     m_sim = model.mean + Ks @ cho_solve((L, True), y_sim - model.mean)
 

@@ -29,8 +29,7 @@ def portfolio_from_kb(kb: KnowledgeBase, goal_path) -> list[tuple[str, str, dict
     return [(name, name, dict(e.defaults)) for name, e in sorted(entries.items())]
 
 
-def build_objectives(plant: VpsSimulator, k_instances: int, master_seed: int,
-                     sim_method: str = "decomposition") -> dict:
+def build_objectives(plant: VpsSimulator, k_instances: int, master_seed: int) -> dict:
     """Ground-truth objective plus k unconditional simulation instances."""
     seed_data = plant._seed_data
     lo, hi = plant.bounds
@@ -40,8 +39,7 @@ def build_objectives(plant: VpsSimulator, k_instances: int, master_seed: int,
         y=seed_data[:, 1:4] @ np.asarray(weights),
         bounds=[[lo, hi]],
     )
-    S = benchmark.generate_test_functions(data, k_instances, method=sim_method,
-                                          master_seed=master_seed)
+    S = benchmark.generate_test_functions(data, k_instances, master_seed=master_seed)
     objectives = {GROUND_TRUTH: plant.ground_truth_objective()}
     for i, inst in enumerate(S.instances):
         objectives[f"{SIM_PREFIX}{i}"] = inst
@@ -51,8 +49,8 @@ def build_objectives(plant: VpsSimulator, k_instances: int, master_seed: int,
 def campaign(plant: VpsSimulator, kb: KnowledgeBase, goal_path, *,
              budget: int = 36, checkpoints=benchmark.DEFAULT_CHECKPOINTS,
              reps: int = 10, k_instances: int = 5, master_seed: int = 0,
-             workers: int = 1, sim_method: str = "decomposition") -> list[EvaluationRecord]:
-    objectives = build_objectives(plant, k_instances, master_seed, sim_method)
+             workers: int = 1) -> list[EvaluationRecord]:
+    objectives = build_objectives(plant, k_instances, master_seed)
     pipelines = portfolio_from_kb(kb, goal_path)
     bounds = np.array([plant.bounds], dtype=float)
     records = run_campaign(pipelines, objectives, bounds, budget,

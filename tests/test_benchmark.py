@@ -39,13 +39,11 @@ class TestGenerateTestFunctions:
         for ra, rb in zip(a.instances, b.instances):
             assert np.array_equal(ra.values, rb.values)
 
-    @pytest.mark.parametrize("method", ["decomposition", "spectral"])
-    def test_instances_equal_single_draws(self, method):
-        S = bm.generate_test_functions(make_dataset(), 3, method=method, master_seed=2)
+    def test_instances_equal_single_draws(self):
+        S = bm.generate_test_functions(make_dataset(), 3, master_seed=2)
         grid = gp.default_grid(BOUNDS)
         for i, inst in enumerate(S.instances):
-            one = gp.simulate_unconditional(S.source_model, grid, method=method,
-                                            seed=bm.derive_seed(2, i))
+            one = gp.simulate_unconditional(S.source_model, grid, seed=bm.derive_seed(2, i))
             assert np.array_equal(inst.values, one.values) and inst.seed == one.seed
 
     def test_instances_differ_pairwise(self):

@@ -223,6 +223,7 @@ class TestErrors:
         ("plant", [1, 2], "plant"),
         ("resources", {"memory_cap": 1 << 30}, "resources.memory_cap"),
         ("cognition", {"workers": 1}, "cognition.workers"),
+        ("cognition", {"sim_method": "decomposition"}, "cognition.sim_method"),
     ])
     def test_bad_config_value(self, runner, tmp_path, key, value, named):
         cfg = write_project(tmp_path, **{key: value})

@@ -32,6 +32,11 @@ class TestDataset:
         with pytest.raises(SchemaError):
             gp.Dataset(X=[[0.1], [1.5]], y=[1.0, 2.0], bounds=BOUNDS)
 
+    def test_one_row_of_inputs_is_not_transposed(self):
+        # one 3-d point with three responses, not three 1-d points
+        with pytest.raises(SchemaError):
+            gp.Dataset(X=[[0.1, 0.2, 0.3]], y=[1.0, 2.0, 3.0], bounds=BOUNDS)
+
 
 class TestFit:
     def test_constant_y_degenerates_to_constant_predictions(self):
@@ -94,8 +99,8 @@ def degenerate_datasets(draw):
 
 def grid_loglik(data: gp.Dataset, noise: bool) -> float:
     """Best log likelihood over a 32 x 32 (x 8) log grid of lengthscale,
-    signal variance (and noise ratio), with K = sv * (R + jitter I) and the
-    GLS mean: the earlier grid search's search space."""
+    signal variance (and noise ratio), with K = sv * (R + max(nr, 1e-10) I)
+    and the GLS mean: the earlier grid search's search space."""
     width = float(np.mean(data.bounds[:, 1] - data.bounds[:, 0]))
     vy = max(float(np.var(data.y)), 1e-12)
     sv = np.geomspace(1e-4 * vy, 4.0 * vy, 32)
@@ -105,7 +110,7 @@ def grid_loglik(data: gp.Dataset, noise: bool) -> float:
     for ls in np.geomspace(1e-3 * width, 2.0 * width, 32):
         for nr in (np.geomspace(1e-6, 1.0, 8) if noise else [0.0]):
             try:
-                L, _ = gp._chol_with_jitter(np.exp(-D2 / (2.0 * ls ** 2)) + nr * np.eye(n))
+                L = gp._chol(np.exp(-D2 / (2.0 * ls ** 2)), nr)
             except SingularCovariance:
                 continue
             Li_y = solve_triangular(L, y, lower=True)
@@ -135,26 +140,20 @@ class TestFitProperties:
         assert np.isfinite(model.lengthscale)
         assert model.signal_var > 0.0
         assert np.all(np.isfinite(model.alpha))
+        # the factor is of the kernel plus `nugget`, with no uncounted diagonal
+        sv = model.signal_var
+        assert model.nugget >= 1e-10 * sv
+        K = gp.kernel(data.X, data.X, model.lengthscale, sv) + model.nugget * np.eye(data.n)
+        assert np.max(np.abs(model.chol @ model.chol.T - K)) <= 1e-12 * sv
         # the closed-form signal variance beats every grid value of it
         best = grid_loglik(data, noise)
         assert model_loglik(model) >= best - 1e-9 * max(1.0, abs(best))
 
 
-def ladder_reference(R: np.ndarray):
-    """One matrix at a time up the jitter ladder: (L, jitter), or (None, None)."""
-    for jit in (0.0,) + gp._JITTER_LADDER:
-        try:
-            return np.linalg.cholesky(R + jit * np.eye(len(R))), jit
-        except np.linalg.LinAlgError:
-            continue
-    return None, None
-
-
 @st.composite
 def mixed_stacks(draw):
     """A stack of n x n matrices, each positive definite, singular (duplicate
-    rows, shifted down so that it needs some rung of the jitter ladder) or
-    indefinite (never factors)."""
+    rows, shifted down by 0 to 3e-7) or indefinite (never factors)."""
     n = draw(st.integers(2, 8))
     kinds = draw(st.lists(st.sampled_from(["pd", "singular", "indefinite"]),
                           min_size=1, max_size=6))
@@ -177,18 +176,19 @@ def mixed_stacks(draw):
 
 class TestOneMatrixFactorization:
     @settings(max_examples=60, deadline=None)
-    @given(R=mixed_stacks())
-    def test_ladder_matches_the_numpy_ladder(self, R):
+    @given(R=mixed_stacks(), nr=st.sampled_from([0.0, 1e-12, 1e-6]))
+    def test_chol_matches_numpy_cholesky_with_the_nugget(self, R, nr):
         for a in R:
-            want_L, want_jit = ladder_reference(a)
-            if want_L is None:
+            want = a + max(nr, 1e-10) * np.eye(len(a))
+            try:
+                np.linalg.cholesky(want)
+            except np.linalg.LinAlgError:
                 with pytest.raises(SingularCovariance):
-                    gp._chol_with_jitter(a)
+                    gp._chol(a.copy(), nr)
                 continue
-            L, jit = gp._chol_with_jitter(a)
-            assert jit == want_jit
+            L = gp._chol(a.copy(), nr)
             assert np.array_equal(L, np.tril(L))
-            assert np.max(np.abs(L @ L.T - (a + jit * np.eye(len(a))))) <= 1e-13
+            assert np.max(np.abs(L @ L.T - want)) <= 1e-13
 
     @settings(max_examples=60, deadline=None)
     @given(data=degenerate_datasets(), frac=st.floats(1e-3, 2.0),
@@ -198,12 +198,13 @@ class TestOneMatrixFactorization:
         ls = frac * float(data.bounds[0, 1] - data.bounds[0, 0])
         vy = max(float(np.var(y)), 1e-12)
         D2 = (data.X - data.X.T) ** 2
-        scored = gp._score(D2, y, ls, nr, (1e-4 * vy, 4.0 * vy))
         try:
-            L, jit = gp._chol_with_jitter(np.exp(-D2 / (2.0 * ls ** 2)) + nr * np.eye(n))
+            L = gp._chol(np.exp(-D2 / (2.0 * ls ** 2)), nr)
         except SingularCovariance:
-            assert scored == (-np.inf,)
+            with pytest.raises(SingularCovariance):
+                gp._score(D2, y, ls, nr, (1e-4 * vy, 4.0 * vy))
             return
+        scored = gp._score(D2, y, ls, nr, (1e-4 * vy, 4.0 * vy))
         Li_y = solve_triangular(L, y, lower=True)
         Li_1 = solve_triangular(L, np.ones(n), lower=True)
         m = float((Li_1 @ Li_y) / (Li_1 @ Li_1))
@@ -212,7 +213,7 @@ class TestOneMatrixFactorization:
         want = -0.5 * (n * np.log(2.0 * np.pi * s)
                        + 2.0 * np.sum(np.log(np.diag(L))) + (r @ r) / s)
         assert scored[:3] == (want, s, m)
-        assert np.array_equal(scored[3], L) and scored[4] == jit
+        assert np.array_equal(scored[3], L)
 
 
 class TestFitRepeatable:
@@ -227,7 +228,7 @@ class TestFitRepeatable:
                 gp.fit(data, noise=noise)
             return
         b = gp.fit(data, noise=noise)
-        for name in ("lengthscale", "signal_var", "nugget", "jitter", "mean"):
+        for name in ("lengthscale", "signal_var", "nugget", "mean"):
             assert getattr(a, name) == getattr(b, name)
         assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
 
@@ -265,15 +266,20 @@ class TestPredict:
         mean, _ = gp.predict(model, grid)
         assert np.all(mean <= 1.0 + 1e-6)
 
+    def test_points_with_the_wrong_column_count_are_refused(self):
+        # a (1, k) array of 1-d points would otherwise broadcast to k columns
+        model = gp.fit(make_dataset())
+        with pytest.raises(SchemaError):
+            gp.predict(model, np.linspace(0, 1, 5).reshape(1, -1))
+
 
 class TestUnconditional:
     def test_determinism(self):
         model = gp.fit(make_dataset())
         grid = gp.default_grid(BOUNDS, 64)
-        for method in ("decomposition", "spectral"):
-            a = gp.simulate_unconditional(model, grid, method=method, seed=42)
-            b = gp.simulate_unconditional(model, grid, method=method, seed=42)
-            assert np.array_equal(a.values, b.values)
+        a = gp.simulate_unconditional(model, grid, seed=42)
+        b = gp.simulate_unconditional(model, grid, seed=42)
+        assert np.array_equal(a.values, b.values)
 
     def test_different_seeds_differ(self):
         model = gp.fit(make_dataset())
@@ -282,15 +288,13 @@ class TestUnconditional:
         b = gp.simulate_unconditional(model, grid, seed=2)
         assert np.max(np.abs(a.values - b.values)) > 0
 
-    @pytest.mark.parametrize("method,n_draws", [("decomposition", 40000), ("spectral", 8000)])
-    def test_empirical_covariance_matches_kernel(self, method, n_draws):
+    def test_empirical_covariance_matches_kernel(self):
         # the draw count keeps Monte Carlo noise well below the 15% band at
         # the smallest compared covariance entries (0.1 signal variance)
         model = gp.fit(make_dataset())
         grid = np.linspace(0, 1, 15)
         draws = np.stack([
-            gp.simulate_unconditional(model, grid, method=method, seed=s).values
-            for s in range(n_draws)
+            gp.simulate_unconditional(model, grid, seed=s).values for s in range(40000)
         ])
         emp = np.cov(draws.T, bias=True) + np.outer(
             draws.mean(axis=0) - model.mean, draws.mean(axis=0) - model.mean
@@ -307,11 +311,6 @@ class TestUnconditional:
         model = gp.fit(ds)
         r = gp.simulate_unconditional(model, gp.default_grid(BOUNDS, 64), seed=0)
         assert np.max(np.abs(r.values - model.mean)) <= 1e-4
-
-    def test_unknown_method_rejected(self):
-        model = gp.fit(make_dataset())
-        with pytest.raises(SchemaError):
-            gp.simulate_unconditional(model, gp.default_grid(BOUNDS), method="mcmc")
 
 
 class TestConditional:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cogopt
 from cogopt import optimizers as opt
-from cogopt.errors import ConfigError
+from cogopt.errors import ConfigError, SingularCovariance
 
 UNIT = [[0.0, 1.0]]
 SYM = [[-1.0, 1.0]]
@@ -202,6 +202,38 @@ class TestKrigingSBO:
         k = np.mean([opt.kriging_sbo(problem(f, SYM, 25), s).best_y for s in range(5)])
         r = np.mean([opt.random_search(problem(f, SYM, 25), s).best_y for s in range(5)])
         assert k <= r
+
+    def test_singular_noise_free_fit_is_refitted_with_noise(self, monkeypatch):
+        real_fit, calls = opt.gp.fit, []
+
+        def fit(data, noise=False):
+            calls.append(noise)
+            if not noise:
+                raise SingularCovariance("forced")
+            return real_fit(data, noise=True)
+
+        monkeypatch.setattr(opt.gp, "fit", fit)
+        res = opt.kriging_sbo(problem(sphere, SYM, 12), 0, designSize=7)
+        assert calls == [False, True] * 5
+        assert res.evals_used == 12 and np.all(np.diff(res.trace) <= 0)
+
+    def test_no_fit_at_all_proposes_uniformly(self, monkeypatch):
+        def fit(data, noise=False):
+            raise SingularCovariance("forced")
+
+        monkeypatch.setattr(opt.gp, "fit", fit)
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return sphere(x)
+
+        res = opt.kriging_sbo(problem(f, SYM, 12), 3, designSize=7)
+        rng, bounds = np.random.default_rng(3), np.array(SYM, dtype=float)
+        want = list(opt.latin_hypercube(rng, bounds, 7))
+        want += [rng.uniform(bounds[:, 0], bounds[:, 1]) for _ in range(5)]
+        assert np.array_equal(np.array(seen), np.array(want))
+        assert res.evals_used == 12 and np.all(np.diff(res.trace) <= 0)
 
 
 @settings(max_examples=30, deadline=None)
