@@ -46,7 +46,6 @@ class EvaluationRecord:
 class TestInstanceSet:
     instances: tuple[gp.Realization, ...]
     source_model: gp.GPModel
-    master_seed: int
 
     def __len__(self):
         return len(self.instances)
@@ -60,7 +59,6 @@ def generate_test_functions(
     data: gp.Dataset,
     k: int,
     master_seed: int = 0,
-    grid_size: int = gp.GRID_SIZE,
 ) -> TestInstanceSet:
     """Fit a GP to the process data and draw k unconditional instances.
 
@@ -68,9 +66,9 @@ def generate_test_functions(
     all k draws.
     """
     model = gp.fit(data, noise=True)
-    draw = gp.unconditional_sampler(model, gp.default_grid(data.bounds, grid_size))
+    draw = gp.unconditional_sampler(model, gp.default_grid(data.bounds))
     instances = tuple(draw(derive_seed(master_seed, i)) for i in range(k))
-    return TestInstanceSet(instances=instances, source_model=model, master_seed=master_seed)
+    return TestInstanceSet(instances=instances, source_model=model)
 
 
 def _checkpoint_slice(result: optimizers.OptResult, budget: int):
@@ -130,33 +128,28 @@ def tune_then_benchmark(
     bounds,
     tuning_budget: int,
     bench_budget: int,
+    tune_idx: int,
+    bench_idx: int,
     reps: int = 10,
     seed: int = 0,
     checkpoints: tuple[int, ...] | None = None,
-    tune_idx: int | None = None,
-    bench_idx: int | None = None,
 ) -> list[EvaluationRecord]:
-    """Random-search tuning on one instance, metered benchmarking on another.
+    """Random-search tuning on instance `tune_idx`, metered benchmarking on `bench_idx`.
 
     Tuning samples `tuning_budget` configurations (each scored by one seeded
-    run on the tuning instance); the winner is then run `reps` times on a
-    different instance and averaged, one record per budget checkpoint.
-    Callers benchmarking several pipelines against each other pass shared
-    `tune_idx`/`bench_idx` so their records fall into the same rank groups.
+    run on the tuning instance); the winner is then run `reps` times on the
+    benchmark instance and averaged, one record per budget checkpoint.
+    Pipelines benchmarked against each other share the two indices, so their
+    records fall into the same rank groups.
     """
     if len(S) < 2:
         raise InstanceSetTooSmall("need >= 2 instances to tune and benchmark separately")
+    if tune_idx == bench_idx:
+        raise InstanceSetTooSmall("tuning and benchmark instances must differ")
     if checkpoints is None:
         checkpoints = (bench_budget,)
     checkpoints = tuple(b for b in checkpoints if b <= bench_budget)
     rng = np.random.default_rng(derive_seed(seed, 0xB))
-    if tune_idx is None:
-        tune_idx = int(rng.integers(len(S)))
-    if bench_idx is None:
-        others = [i for i in range(len(S)) if i != tune_idx]
-        bench_idx = others[int(rng.integers(len(others)))]
-    if tune_idx == bench_idx:
-        raise InstanceSetTooSmall("tuning and benchmark instances must differ")
 
     tuned = {}
     if param_specs:
@@ -262,10 +255,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank_algorithms(records: list[EvaluationRecord], by: str = "best_y") -> list[EvaluationRecord]:
-    """Assign within-(instance, budget) ranks; rank 1 is best, ties mid-ranked."""
-    if by not in ("best_y", "aggregate"):
-        raise DegenerateInput(f"unknown ranking criterion {by!r}")
+def rank_algorithms(records: list[EvaluationRecord]) -> list[EvaluationRecord]:
+    """Assign within-(instance, budget) best_y ranks; rank 1 is best, ties mid-ranked."""
     groups: dict[tuple[str, int], list[int]] = {}
     for i, rec in enumerate(records):
         key = (rec.instance, rec.budget)
@@ -275,10 +266,7 @@ def rank_algorithms(records: list[EvaluationRecord], by: str = "best_y") -> list
         names = [records[i].pipeline for i in idxs]
         if len(set(names)) != len(names):
             raise DuplicatePipelineInGroup(f"duplicate pipeline in group {key}")
-        vals = np.array([records[i].best_y for i in idxs])
-        if by == "aggregate":
-            vals = -vals  # larger aggregate is better
-        ranks = _average_ranks(vals)
+        ranks = _average_ranks([records[i].best_y for i in idxs])
         for i, r in zip(idxs, ranks):
             out[i] = replace(records[i], rank=float(r))
     return out

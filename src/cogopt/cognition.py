@@ -34,8 +34,6 @@ from .rating import RatingTable, RatingWeights, rate_pipelines
 
 log = logging.getLogger("cogopt.cognition")
 
-BASELINE_PIPELINE = optimizers.BASELINE
-
 
 @dataclass
 class CognitionConfig:
@@ -79,7 +77,8 @@ class CognitionState:
     p_best: str | None = None
     best_history: list[float] = field(default_factory=list)
     last_cycle: int = 0
-    tuned_params: dict[str, dict] = field(default_factory=dict)
+    # pipeline id -> (algorithm, parameters) as last benchmarked
+    tuned: dict[str, tuple[str, dict]] = field(default_factory=dict)
     last_rating: RatingTable | None = None
     log_entries: list[dict] = field(default_factory=list)
 
@@ -150,15 +149,14 @@ def run_selection_cycle(
     data = _dataset(state, bounds)
     S = generate_test_functions(data, config.k_instances, master_seed=cycle_seed)
 
-    pipelines = compose_pipelines(kb, goal)
-    feasible = determine_feasible(pipelines, kb, goal, data_size=len(state.d))
-    candidates = select_candidates(feasible, kb, config.resources, state.e)
+    pipelines = compose_pipelines(kb, goal.path)
+    feasible = determine_feasible(pipelines, goal, data_size=len(state.d))
+    candidates = select_candidates(feasible, config.resources, state.e)
     # the baseline is always benchmarked: every rating group needs its reference
-    ids = {p.pipeline_id for p in candidates}
-    for p in feasible:
-        if p.terminal_stage == BASELINE_PIPELINE and p.pipeline_id not in ids:
-            candidates = [p] + candidates
-            break
+    baseline = next((p for p in candidates + feasible
+                     if p.algorithm.name == optimizers.BASELINE), None)
+    if baseline is not None and baseline not in candidates:
+        candidates = [baseline] + candidates
 
     bbounds = np.array([bounds], dtype=float)
     # one shared instance draw per cycle so all pipelines are comparable
@@ -169,7 +167,7 @@ def run_selection_cycle(
 
     records = []
     for i, pipeline in enumerate(candidates):
-        entry = kb.find(pipeline.terminal_stage)
+        entry = pipeline.algorithm
         records.extend(tune_then_benchmark(
             pipeline.pipeline_id, entry.name, entry.parameters, S, bbounds,
             tuning_budget=config.tuning_budget,
@@ -181,44 +179,42 @@ def run_selection_cycle(
         ))
     state.e.extend(records)
 
-    baseline_ids = [r.pipeline for r in records if r.pipeline.endswith(BASELINE_PIPELINE)]
-    if not baseline_ids:
+    if baseline is None:
         log.warning("no baseline among candidates; skipping rating this cycle")
         state.p_best = None
         return kb
-    table, p_best, updates = rate_pipelines(records, baseline_ids[0], config.weights)
+    table, p_best, updates = rate_pipelines(records, baseline.pipeline_id, config.weights)
     state.last_rating = table
     state.p_best = p_best
+    algorithm_of = {p.pipeline_id: p.algorithm.name for p in candidates}
     for rec in records:
-        state.tuned_params[rec.pipeline] = rec.tuned_params
+        state.tuned[rec.pipeline] = (algorithm_of[rec.pipeline], rec.tuned_params)
     for up in updates:
-        # pipeline ids map to their terminal algorithm for the KB update
-        terminal = up.algorithm.split("+")[-1]
+        algorithm = algorithm_of[up.algorithm]
         try:
             kb = update_characteristics(
-                kb, terminal, up.performance, up.computational_effort, up.ram_usage
+                kb, algorithm, up.performance, up.computational_effort, up.ram_usage
             )
         except RECOVERABLE as exc:
-            log.warning("KB update for %s failed: %s", terminal, exc)
+            log.warning("KB update for %s failed: %s", algorithm, exc)
     return kb
 
 
 def get_best_x(
     p_best: str | None,
     state: CognitionState,
-    kb: KnowledgeBase,
     config: CognitionConfig,
     bounds,
 ) -> float:
-    """Winning pipeline's proposal on the surrogate of the real process."""
+    """Winning pipeline's proposal on the surrogate of the real process,
+    searched by its algorithm with the parameters it was benchmarked with."""
     if p_best is None or state.x is None:
         return state.x
     try:
         data = _dataset(state, bounds)
         model = gp.fit(data, noise=True)
         objective = lambda x: float(gp.predict(model, x)[0][0])
-        algo = p_best.split("+")[-1]
-        params = state.tuned_params.get(p_best) or kb.find(algo).defaults
+        algo, params = state.tuned[p_best]
         problem = optimizers.OptProblem(
             objective=objective, bounds=[list(bounds)], budget=config.bench_budget
         )
@@ -249,7 +245,7 @@ def step(
         except RECOVERABLE as exc:
             log.error("selection cycle failed: %s", exc)
 
-    x_best = get_best_x(state.p_best, state, kb, config, bounds)
+    x_best = get_best_x(state.p_best, state, config, bounds)
     applied = False
     epsilon = config.resolved_epsilon(bounds)
     if x_best is not None and abs(state.x - x_best) >= epsilon:

@@ -164,18 +164,12 @@ class KnowledgeBase:
         except KeyError:
             raise UnknownGoal(f"no knowledge for goal path {'/'.join(path)}") from None
 
-    def find(self, algorithm: str) -> AlgorithmEntry:
-        for entries in self.goals.values():
-            if algorithm in entries:
-                return entries[algorithm]
-        raise UnknownAlgorithm(algorithm)
-
 
 @dataclass(frozen=True)
 class PipelineTemplate:
-    """An executable chain of algorithm stages, first stage consumes raw data."""
+    """A chain of one goal's algorithm entries; the first stage consumes raw data."""
 
-    stages: tuple[str, ...]
+    stages: tuple[AlgorithmEntry, ...]
 
     def __post_init__(self):
         if not self.stages:
@@ -183,10 +177,10 @@ class PipelineTemplate:
 
     @property
     def pipeline_id(self) -> str:
-        return "+".join(self.stages)
+        return "+".join(stage.name for stage in self.stages)
 
     @property
-    def terminal_stage(self) -> str:
+    def algorithm(self) -> AlgorithmEntry:
         """The final (optimizer) stage of the chain."""
         return self.stages[-1]
 
@@ -211,15 +205,40 @@ def _none_to_unset(v):
     return _UNSET if v is None else v
 
 
+# the YAML scalars each typed key accepts; a YAML boolean is never a number
+_SCALARS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+            float: ((int, float), "a number")}
+
+
+def _mapping(what: str, block, required: set, optional: set) -> dict:
+    """`block` if it is a mapping holding every `required` key and no unknown one."""
+    if not isinstance(block, dict):
+        raise SchemaError(f"{what}: not a mapping")
+    for problem, keys in (("missing", required - set(block)),
+                          ("unknown key(s)", set(block) - required - optional)):
+        if keys:
+            raise SchemaError(f"{what}: {problem} {sorted(map(str, keys))}")
+    return block
+
+
+def _scalar(what: str, block: dict, key: str, kind: type, default=None):
+    v = block.get(key, default)
+    types, expected = _SCALARS[kind]
+    if not isinstance(v, types) or (kind is not bool and isinstance(v, bool)):
+        raise SchemaError(f"{what}: {key!r} must be {expected}, got {v!r}")
+    return v
+
+
 def _parse_parameter(name, block) -> ParameterSpec:
-    if not isinstance(block, dict) or "type" not in block:
-        raise SchemaError(f"parameter {name!r}: missing type")
+    what = f"parameter {name!r}"
+    block = _mapping(what, block, {"type", "default"}, {"min", "max", "categories"})
     kind = {"int": "integer", "integer": "integer", "real": "real",
             "float": "real", "categorical": "categorical"}.get(block["type"])
     if kind is None:
-        raise SchemaError(f"parameter {name!r}: unknown type {block['type']!r}")
-    if "default" not in block:
-        raise SchemaError(f"parameter {name!r}: missing default")
+        raise SchemaError(f"{what}: unknown type {block['type']!r}")
+    if kind != "categorical":
+        for key in ("default", "min", "max"):
+            _scalar(what, block, key, float)
     return ParameterSpec(
         name=name,
         kind=kind,
@@ -231,33 +250,30 @@ def _parse_parameter(name, block) -> ParameterSpec:
 
 
 def _parse_metadata(name, block) -> AlgorithmCharacteristics:
-    if not isinstance(block, dict):
-        raise SchemaError(f"algorithm {name!r}: metadata is not a mapping")
-    missing = {"Class", "Reach aim", "Performance", "Computational Effort", "RAM usage"} - set(block)
-    if missing:
-        raise SchemaError(f"algorithm {name!r}: metadata missing {sorted(missing)}")
+    what = f"algorithm {name!r} metadata"
+    block = _mapping(what, block,
+                     {"Class", "Reach aim", "Performance", "Computational Effort", "RAM usage"},
+                     {"Input data", "Output data", "Use multithreads", "Min training data",
+                      "Prefer usage", "Avoid usage"})
+    flag = lambda key: _scalar(what, block, key, bool, False)
+    dynamic = lambda key: _unset_to_none(_scalar(what, block, key, float))
     return AlgorithmCharacteristics(
         algorithm_class=block["Class"],
         input_data=frozenset(block.get("Input data", ["continuous"])),
         output_data=frozenset(block.get("Output data", ["continuous"])),
         reach_aim=frozenset(block["Reach aim"]),
-        use_multithreads=bool(block.get("Use multithreads", False)),
-        min_training_data=int(block.get("Min training data", 0)),
-        prefer_usage=bool(block.get("Prefer usage", False)),
-        avoid_usage=bool(block.get("Avoid usage", False)),
-        performance=_unset_to_none(block["Performance"]),
-        computational_effort=_unset_to_none(block["Computational Effort"]),
-        ram_usage=_unset_to_none(block["RAM usage"]),
+        use_multithreads=flag("Use multithreads"),
+        min_training_data=_scalar(what, block, "Min training data", int, 0),
+        prefer_usage=flag("Prefer usage"),
+        avoid_usage=flag("Avoid usage"),
+        performance=dynamic("Performance"),
+        computational_effort=dynamic("Computational Effort"),
+        ram_usage=dynamic("RAM usage"),
     )
 
 
 def _parse_entry(name, block) -> AlgorithmEntry:
-    if not isinstance(block, dict):
-        raise SchemaError(f"algorithm {name!r}: entry is not a mapping")
-    if "input" not in block or not block["input"]:
-        raise SchemaError(f"algorithm {name!r}: missing input designation")
-    if "metadata" not in block:
-        raise SchemaError(f"algorithm {name!r}: missing metadata")
+    block = _mapping(f"algorithm {name!r}", block, {"input", "metadata"}, {"parameter", "output"})
     params = tuple(
         _parse_parameter(pname, pblock)
         for pname, pblock in (block.get("parameter") or {}).items()
@@ -359,24 +375,24 @@ def save_kb(kb: KnowledgeBase, path) -> None:
 # Pipeline composition and filtering
 
 
-def compose_pipelines(kb: KnowledgeBase, goal: GoalSpec) -> list[PipelineTemplate]:
-    """Chain algorithm stages backwards until raw data is reached.
+def compose_pipelines(kb: KnowledgeBase, goal_path) -> list[PipelineTemplate]:
+    """Chain the goal path's algorithm entries backwards until raw data is reached.
 
     Final stages are the entries emitting a parameter proposal; every other
     entry can serve as an intermediate stage when its output matches the
     required input of the following stage.
     """
-    entries = kb.entries_for(goal.path)
+    entries = kb.entries_for(goal_path)
 
-    def resolve(entry: AlgorithmEntry, seen: frozenset) -> list[tuple[str, ...]]:
+    def resolve(entry: AlgorithmEntry, seen: frozenset) -> list[tuple[AlgorithmEntry, ...]]:
         if entry.input == RAW_DATA:
-            return [(entry.name,)]
+            return [(entry,)]
         chains = []
         for candidate in entries.values():
             if candidate.name in seen or candidate.output != entry.input:
                 continue
             for prefix in resolve(candidate, seen | {candidate.name}):
-                chains.append(prefix + (entry.name,))
+                chains.append(prefix + (entry,))
         return chains
 
     pipelines = []
@@ -390,29 +406,20 @@ def compose_pipelines(kb: KnowledgeBase, goal: GoalSpec) -> list[PipelineTemplat
 
 def determine_feasible(
     pipelines: list[PipelineTemplate],
-    kb: KnowledgeBase,
     goal: GoalSpec,
     data_size: int,
 ) -> list[PipelineTemplate]:
-    """Apply the hard criteria: aim coverage, I/O chaining, training-data size."""
+    """Apply the hard criteria to every stage: aim coverage and training-data size."""
     aim = goal.aim
-    feasible = []
-    for pipeline in pipelines:
-        stages = [kb.find(name) for name in pipeline.stages]
-        ok = stages[0].input == RAW_DATA
-        for prev, cur in zip(stages, stages[1:]):
-            ok = ok and prev.output == cur.input
-        for stage in stages:
-            ok = ok and aim in stage.metadata.reach_aim
-            ok = ok and data_size >= stage.metadata.min_training_data
-        if ok:
-            feasible.append(pipeline)
-    return feasible
+    return [
+        pipeline for pipeline in pipelines
+        if all(aim in stage.metadata.reach_aim and data_size >= stage.metadata.min_training_data
+               for stage in pipeline.stages)
+    ]
 
 
 def select_candidates(
     feasible: list[PipelineTemplate],
-    kb: KnowledgeBase,
     resources: ResourceBudget,
     history: list,
 ) -> list[PipelineTemplate]:
@@ -425,21 +432,18 @@ def select_candidates(
     for rec in history:
         latest[rec.pipeline] = rec
 
-    def effort(pipeline: PipelineTemplate) -> float:
-        v = kb.find(pipeline.terminal_stage).metadata.computational_effort
-        # untested algorithms sort first so the loop gathers evidence early
-        return -1.0 if v is None else v
-
     kept = []
     for pipeline in feasible:
-        stages = [kb.find(name) for name in pipeline.stages]
-        if any(s.metadata.avoid_usage for s in stages):
+        metadata = [stage.metadata for stage in pipeline.stages]
+        if any(m.avoid_usage for m in metadata):
             continue
         rec = latest.get(pipeline.pipeline_id)
         if rec is not None and rec.cpu_time > resources.deadline:
             continue
-        prefer = any(s.metadata.prefer_usage for s in stages)
-        kept.append((not prefer, effort(pipeline), pipeline.pipeline_id, pipeline))
+        prefer = any(m.prefer_usage for m in metadata)
+        effort = pipeline.algorithm.metadata.computational_effort
+        # untested algorithms sort first so the loop gathers evidence early
+        kept.append((not prefer, -1.0 if effort is None else effort, pipeline.pipeline_id, pipeline))
     kept.sort(key=lambda t: t[:3])
     return [t[3] for t in kept[: resources.max_parallel_pipelines]]
 

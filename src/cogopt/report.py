@@ -15,7 +15,7 @@ import numpy as np
 from . import benchmark, gp
 from .benchmark import EvaluationRecord, pearson_correlation, rank_algorithms, run_campaign
 from .errors import MalformedInput
-from .knowledge import KnowledgeBase
+from .knowledge import KnowledgeBase, compose_pipelines
 from .optimizers import BASELINE
 from .plant import VpsSimulator
 from .rating import RatingWeights, rate_pipelines
@@ -25,8 +25,9 @@ SIM_PREFIX = "sim-"
 
 
 def portfolio_from_kb(kb: KnowledgeBase, goal_path) -> list[tuple[str, str, dict]]:
-    entries = kb.entries_for(goal_path)
-    return [(name, name, dict(e.defaults)) for name, e in sorted(entries.items())]
+    """(pipeline id, algorithm, default parameters) of the goal's pipelines, by id."""
+    pipelines = sorted(compose_pipelines(kb, goal_path), key=lambda p: p.pipeline_id)
+    return [(p.pipeline_id, p.algorithm.name, p.algorithm.defaults) for p in pipelines]
 
 
 def build_objectives(plant: VpsSimulator, k_instances: int, master_seed: int) -> dict:
@@ -56,7 +57,7 @@ def campaign(plant: VpsSimulator, kb: KnowledgeBase, goal_path, *,
     records = run_campaign(pipelines, objectives, bounds, budget,
                            checkpoints=tuple(checkpoints), reps=reps,
                            master_seed=master_seed, workers=workers)
-    return rank_algorithms(records, by="best_y")
+    return rank_algorithms(records)
 
 
 def _is_sim(instance: str) -> bool:

@@ -184,7 +184,7 @@ def test_07_control_flow(monkeypatch):
 
     monkeypatch.setattr(cognition, "run_selection_cycle", fake_selection)
     monkeypatch.setattr(cognition, "get_best_x",
-                        lambda p, s, k, c, b: next(proposals, s.x))
+                        lambda p, s, c, b: next(proposals, s.x))
     for _ in range(10):
         state, kb = step(state, plant, kb, cfg, GOAL)
 
@@ -209,7 +209,7 @@ def test_08_knowledge_update_round_trip():
     benchmarked = {r.pipeline.split("+")[-1] for r in state.e}
     fields_ok = True
     for name in benchmarked:
-        m = kb.find(name).metadata
+        m = kb.entries_for(GOAL_PATH)[name].metadata
         for v in (m.performance, m.computational_effort, m.ram_usage):
             fields_ok = fields_ok and v is not None and 0.0 <= v <= 1.0
     round_trip = parse_kb(dump_kb(kb)) == kb

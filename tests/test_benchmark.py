@@ -59,6 +59,8 @@ class TestTuneThenBenchmark:
         kw.setdefault("tuning_budget", 2)
         kw.setdefault("bench_budget", 12)
         kw.setdefault("reps", 2)
+        kw.setdefault("tune_idx", 0)
+        kw.setdefault("bench_idx", 1)
         return bm.tune_then_benchmark("pipe", algo, tuple(specs), S, BOUNDS, **kw)
 
     def test_single_instance_rejected(self):
@@ -80,12 +82,7 @@ class TestTuneThenBenchmark:
         S = bm.generate_test_functions(make_dataset(), 2)
         specs = (ParameterSpec("lmm", "integer", 5, 1, 20),)
         records = self.run(S, algo="HillClimber", specs=specs, tuning_budget=1)
-        seed_rng = np.random.default_rng(bm.derive_seed(0, 0xB))
-        # consume the index draws the function makes before sampling params
-        tune = int(seed_rng.integers(2))
-        others = [i for i in range(2) if i != tune]
-        seed_rng.integers(len(others))
-        expected = int(seed_rng.integers(1, 21))
+        expected = int(np.random.default_rng(bm.derive_seed(0, 0xB)).integers(1, 21))
         assert records[0].tuned_params == {"lmm": expected}
 
     def test_checkpoint_records(self):

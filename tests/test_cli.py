@@ -45,7 +45,8 @@ class TestInit:
         res = runner.invoke(main, ["init", str(tmp_path)])
         assert res.exit_code == 0
         kb = load_kb(tmp_path / "kb.yaml")
-        assert kb.find("KrigingSBO").parameter("designSize").default == 7
+        entries = kb.entries_for(("Optimization", "minimize", "mean"))
+        assert entries["KrigingSBO"].parameter("designSize").default == 7
         cfg = load_config(tmp_path / "config.yaml")
         assert cfg.cycles == 36
 
@@ -76,7 +77,7 @@ class TestRun:
         assert len(cycles) == 2
         assert [c["iteration"] for c in cycles] == [0, 1]
         kb = load_kb(out / "kb_final.yaml")
-        assert kb.find("RandomSearch")
+        assert "RandomSearch" in kb.entries_for(("Optimization", "minimize", "mean"))
 
     def test_zero_cycles_gives_bootstrap_only_log(self, runner, tmp_path):
         cfg = write_project(tmp_path)
@@ -193,6 +194,14 @@ class TestErrors:
         cfg.write_text("cycles: [unclosed\n")
         res = runner.invoke(main, ["--config", str(cfg), "run"])
         assert res.exit_code == 2
+
+    def test_misspelt_kb_key_is_a_config_error(self, runner, tmp_path):
+        cfg = write_project(tmp_path)
+        kb = tmp_path / "kb.yaml"
+        kb.write_text(kb.read_text().replace("Avoid usage:", "Avoid Usage:", 1))
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
+        assert res.exit_code == 2
+        assert "'Avoid Usage'" in res.output
 
     def test_missing_kb_file(self, runner, tmp_path):
         cfg = write_project(tmp_path)

@@ -123,11 +123,12 @@ class TestGetBestX:
 
     def test_none_returns_current_x(self):
         state, cfg, plant = self.setup_state()
-        assert get_best_x(None, state, default_kb(), cfg, plant.bounds) == state.x
+        assert get_best_x(None, state, cfg, plant.bounds) == state.x
 
     def test_proposal_tracks_surrogate_minimum(self):
         state, cfg, plant = self.setup_state()
-        x = get_best_x("RandomSearch", state, default_kb(), cfg, plant.bounds)
+        state.tuned["RandomSearch"] = ("RandomSearch", {})
+        x = get_best_x("RandomSearch", state, cfg, plant.bounds)
         lo, hi = plant.bounds
         assert lo <= x <= hi
         # the proposal should not be worse on the surrogate than the median point
@@ -155,7 +156,7 @@ class TestControlFlow:
 
         it = iter(proposals)
 
-        def fake_best_x(p_best, state, kb, config, bounds):
+        def fake_best_x(p_best, state, config, bounds):
             return next(it, state.x)
 
         monkeypatch.setattr(cognition, "run_selection_cycle", fake_selection)
@@ -238,7 +239,8 @@ class TestSelectionCycle:
     def test_kb_characteristics_updated(self, cycle_result):
         state, kb = cycle_result
         for pipeline in {r.pipeline for r in state.e}:
-            m = kb.find(pipeline.split("+")[-1]).metadata
+            algorithm, _ = state.tuned[pipeline]
+            m = kb.entries_for(GOAL.path)[algorithm].metadata
             assert m.performance is not None and 0.0 <= m.performance <= 1.0
             assert 0.0 <= m.computational_effort <= 1.0
             assert 0.0 <= m.ram_usage <= 1.0

@@ -1,5 +1,9 @@
+import re
+from dataclasses import replace
+
 import pytest
 
+from cogopt import report
 from cogopt.errors import ConfigError, SchemaError, UnknownAlgorithm, UnknownGoal
 from cogopt.knowledge import (
     AlgorithmCharacteristics,
@@ -16,6 +20,7 @@ from cogopt.knowledge import (
     select_candidates,
     update_characteristics,
 )
+from cogopt.plant import VpsSimulator
 
 GOAL = GoalSpec("Optimization", ("f",), "mean", "minimize")
 
@@ -67,6 +72,10 @@ def entry(name, input="raw data", output="parameter proposal", aim=("optimizatio
     )
 
 
+def kriging(kb):
+    return kb.entries_for(GOAL.path)["Kriging"]
+
+
 def kb_of(*entries):
     return KnowledgeBase(goals={GOAL.path: {e.name: e for e in entries}})
 
@@ -97,12 +106,12 @@ class TestGoalSpec:
 class TestParsing:
     def test_min_training_data_parsed(self):
         kb = parse_kb(KB_DOC)
-        e = kb.find("Kriging")
+        e = kriging(kb)
         assert e.metadata.min_training_data == 5
 
     def test_unset_sentinel_maps_to_none(self):
         kb = parse_kb(KB_DOC)
-        m = kb.find("Kriging").metadata
+        m = kriging(kb).metadata
         assert m.performance is None
         assert m.computational_effort is None
         assert m.ram_usage is None
@@ -124,6 +133,19 @@ class TestParsing:
         with pytest.raises(SchemaError):
             AlgorithmCharacteristics(algorithm_class="Baseline", performance=1.5)
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("Avoid usage: false", "Avoid usage: 'false'", "Avoid usage"),
+        ("Min training data: 5", "Min Training Data: 5", "Min Training Data"),
+        ("parameter:", "paramter:", "paramter"),
+        ("max: 12", "maximum: 12", "maximum"),
+        ("Min training data: 5", "Min training data: abc", "Min training data"),
+        ("Performance: -1", "Performance: high", "Performance"),
+    ])
+    def test_bad_key_or_value_is_refused_by_name(self, old, new, key):
+        assert KB_DOC.count(old) == 1
+        with pytest.raises(SchemaError, match=re.escape(repr(key))):
+            parse_kb(KB_DOC.replace(old, new))
+
 
 class TestRoundTrip:
     def test_parse_dump_identity(self):
@@ -137,7 +159,7 @@ class TestRoundTrip:
     def test_update_then_round_trip(self):
         kb = update_characteristics(parse_kb(KB_DOC), "Kriging", 0.9, 0.4, 0.3)
         again = parse_kb(dump_kb(kb))
-        m = again.find("Kriging").metadata
+        m = kriging(again).metadata
         assert (m.performance, m.computational_effort, m.ram_usage) == (0.9, 0.4, 0.3)
         assert again == kb
 
@@ -148,14 +170,14 @@ class TestCompose:
             entry("Opt", input="preprocessed data"),
             entry("Prep", input="raw data", output="preprocessed data"),
         )
-        pipes = compose_pipelines(kb, GOAL)
-        assert [p.stages for p in pipes] == [("Prep", "Opt")]
+        pipes = compose_pipelines(kb, GOAL.path)
+        assert [tuple(s.name for s in p.stages) for p in pipes] == [("Prep", "Opt")]
         assert pipes[0].pipeline_id == "Prep+Opt"
-        assert pipes[0].terminal_stage == "Opt"
+        assert pipes[0].algorithm.name == "Opt"
 
     def test_no_raw_data_consumer_gives_empty_list(self):
         kb = kb_of(entry("Opt", input="preprocessed data"))
-        assert compose_pipelines(kb, GOAL) == []
+        assert compose_pipelines(kb, GOAL.path) == []
 
     def test_two_optimizers_one_preprocessor(self):
         kb = kb_of(
@@ -163,37 +185,64 @@ class TestCompose:
             entry("OptB", input="preprocessed data"),
             entry("Prep", input="raw data", output="preprocessed data"),
         )
-        pipes = compose_pipelines(kb, GOAL)
+        pipes = compose_pipelines(kb, GOAL.path)
         assert sorted(p.pipeline_id for p in pipes) == ["Prep+OptA", "Prep+OptB"]
 
     def test_unknown_goal(self):
         kb = kb_of(entry("Opt"))
         other = GoalSpec("Optimization", ("f",), "max", "minimize")
         with pytest.raises(UnknownGoal):
-            compose_pipelines(kb, other)
+            compose_pipelines(kb, other.path)
 
 
 class TestFeasibility:
     def test_min_training_data_threshold(self):
         kb = kb_of(entry("Kriging", min_training=5))
-        pipes = compose_pipelines(kb, GOAL)
-        assert determine_feasible(pipes, kb, GOAL, data_size=3) == []
-        assert determine_feasible(pipes, kb, GOAL, data_size=7) == pipes
+        pipes = compose_pipelines(kb, GOAL.path)
+        assert determine_feasible(pipes, GOAL, data_size=3) == []
+        assert determine_feasible(pipes, GOAL, data_size=7) == pipes
 
     def test_aim_mismatch_excluded(self):
         kb = kb_of(entry("Detector", aim=("anomaly-detection",)))
-        pipes = compose_pipelines(kb, GOAL)
-        assert determine_feasible(pipes, kb, GOAL, data_size=100) == []
+        pipes = compose_pipelines(kb, GOAL.path)
+        assert determine_feasible(pipes, GOAL, data_size=100) == []
 
     def test_monotone_in_data_size(self):
         kb = kb_of(entry("A", min_training=3), entry("B", min_training=8), entry("C"))
-        pipes = compose_pipelines(kb, GOAL)
+        pipes = compose_pipelines(kb, GOAL.path)
         sizes = [0, 2, 3, 5, 8, 13, 40]
         previous: set = set()
         for n in sizes:
-            now = {p.pipeline_id for p in determine_feasible(pipes, kb, GOAL, n)}
+            now = {p.pipeline_id for p in determine_feasible(pipes, GOAL, n)}
             assert previous <= now
             previous = now
+
+
+def test_each_goal_reads_its_own_entries():
+    minimize, maximize = GOAL.path, ("Optimization", "maximize", "mean")
+    kb = default_kb()
+    sbo = kb.entries_for(minimize)["KrigingSBO"]
+    strict = replace(sbo, metadata=replace(sbo.metadata, min_training_data=50))
+    kb = KnowledgeBase(goals={minimize: {**kb.entries_for(minimize), "KrigingSBO": strict},
+                              maximize: kb.entries_for(maximize)})
+    for path, direction, feasible_at_13 in ((minimize, "minimize", False), (maximize, "maximize", True)):
+        goal = GoalSpec("Optimization", ("f",), "mean", direction)
+        ids = {p.pipeline_id for p in determine_feasible(compose_pipelines(kb, path), goal, 13)}
+        assert ("KrigingSBO" in ids) == feasible_at_13
+
+
+def test_campaign_benchmarks_the_composed_chain():
+    """A smoother feeding KrigingSBO gives the campaign one chain, run as KrigingSBO."""
+    entries = default_kb().entries_for(GOAL.path)
+    kb = KnowledgeBase(goals={GOAL.path: {
+        "RandomSearch": entries["RandomSearch"],
+        "Smooth": entry("Smooth", output="preprocessed data"),
+        "KrigingSBO": replace(entries["KrigingSBO"], input="preprocessed data"),
+    }})
+    records = report.campaign(VpsSimulator(noise_sd=0.02, seed=0), kb, GOAL.path,
+                              budget=12, checkpoints=(12,), reps=1, k_instances=2)
+    assert {r.pipeline for r in records} == {"RandomSearch", "Smooth+KrigingSBO"}
+    assert len(records) == 2 * 3  # two pipelines on the ground truth and two simulations
 
 
 class Rec:
@@ -205,41 +254,41 @@ class Rec:
 class TestSelectCandidates:
     def test_truncation(self):
         kb = kb_of(entry("A"), entry("B"), entry("C"))
-        pipes = compose_pipelines(kb, GOAL)
-        out = select_candidates(pipes, kb, ResourceBudget(max_parallel_pipelines=2), [])
+        pipes = compose_pipelines(kb, GOAL.path)
+        out = select_candidates(pipes, ResourceBudget(max_parallel_pipelines=2), [])
         assert len(out) == 2
 
     def test_deadline_exclusion(self):
         kb = kb_of(entry("Slow"), entry("Fast"))
-        pipes = compose_pipelines(kb, GOAL)
+        pipes = compose_pipelines(kb, GOAL.path)
         history = [Rec("Slow", 30.0)]
-        out = select_candidates(pipes, kb, ResourceBudget(deadline=20.0), history)
+        out = select_candidates(pipes, ResourceBudget(deadline=20.0), history)
         assert [p.pipeline_id for p in out] == ["Fast"]
 
     def test_only_latest_record_counts(self):
         kb = kb_of(entry("A"))
-        pipes = compose_pipelines(kb, GOAL)
+        pipes = compose_pipelines(kb, GOAL.path)
         history = [Rec("A", 30.0), Rec("A", 1.0)]  # recovered after a slow run
-        out = select_candidates(pipes, kb, ResourceBudget(deadline=20.0), history)
+        out = select_candidates(pipes, ResourceBudget(deadline=20.0), history)
         assert len(out) == 1
 
     def test_avoid_usage_is_hard_exclusion(self):
         kb = kb_of(entry("Avoided", avoid=True), entry("Normal"))
-        pipes = compose_pipelines(kb, GOAL)
-        out = select_candidates(pipes, kb, ResourceBudget(), [])
+        pipes = compose_pipelines(kb, GOAL.path)
+        out = select_candidates(pipes, ResourceBudget(), [])
         assert [p.pipeline_id for p in out] == ["Normal"]
 
     def test_prefer_usage_sorts_first(self):
         kb = kb_of(entry("Plain", effort=0.1), entry("Preferred", prefer=True, effort=0.9))
-        pipes = compose_pipelines(kb, GOAL)
-        out = select_candidates(pipes, kb, ResourceBudget(), [])
+        pipes = compose_pipelines(kb, GOAL.path)
+        out = select_candidates(pipes, ResourceBudget(), [])
         assert [p.pipeline_id for p in out] == ["Preferred", "Plain"]
 
     def test_subset_of_input(self):
         kb = kb_of(entry("A"), entry("B"), entry("C"), entry("D"), entry("E"))
-        pipes = compose_pipelines(kb, GOAL)
+        pipes = compose_pipelines(kb, GOAL.path)
         for limit in (1, 3, 10):
-            out = select_candidates(pipes, kb, ResourceBudget(max_parallel_pipelines=limit), [])
+            out = select_candidates(pipes, ResourceBudget(max_parallel_pipelines=limit), [])
             assert set(p.pipeline_id for p in out) <= set(p.pipeline_id for p in pipes)
             assert len(out) <= limit
 
@@ -247,12 +296,12 @@ class TestSelectCandidates:
 class TestUpdate:
     def test_sets_fields(self):
         kb = update_characteristics(parse_kb(KB_DOC), "Kriging", 0.9, 0.4, 0.3)
-        m = kb.find("Kriging").metadata
+        m = kriging(kb).metadata
         assert (m.performance, m.computational_effort, m.ram_usage) == (0.9, 0.4, 0.3)
 
     def test_other_fields_untouched(self):
-        before = parse_kb(KB_DOC).find("Kriging")
-        after = update_characteristics(parse_kb(KB_DOC), "Kriging", 0.5, 0.5, 0.5).find("Kriging")
+        before = kriging(parse_kb(KB_DOC))
+        after = kriging(update_characteristics(parse_kb(KB_DOC), "Kriging", 0.5, 0.5, 0.5))
         assert after.parameters == before.parameters
         assert after.metadata.min_training_data == before.metadata.min_training_data
         assert after.input == before.input
@@ -268,7 +317,7 @@ class TestUpdate:
     def test_original_kb_not_mutated(self):
         kb = parse_kb(KB_DOC)
         update_characteristics(kb, "Kriging", 0.9, 0.4, 0.3)
-        assert kb.find("Kriging").metadata.performance is None
+        assert kriging(kb).metadata.performance is None
 
 
 def test_default_kb_contents():
