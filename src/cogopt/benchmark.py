@@ -114,7 +114,7 @@ def _sample_params(rng, specs: tuple[ParameterSpec, ...]) -> dict:
         if p.kind == "categorical":
             out[p.name] = p.categories[rng.integers(len(p.categories))]
         elif p.kind == "integer":
-            out[p.name] = int(rng.integers(int(p.min), int(p.max) + 1))
+            out[p.name] = int(rng.integers(p.min, p.max + 1))
         else:
             out[p.name] = float(rng.uniform(p.min, p.max))
     return out

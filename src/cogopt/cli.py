@@ -29,12 +29,14 @@ from .errors import (
     MalformedInput,
     ParseError,
     SchemaError,
+    UnknownGoal,
 )
-from .knowledge import GoalSpec, default_kb, load_kb, save_kb
+from .knowledge import GoalSpec, KnowledgeBase, default_kb, load_kb, save_kb
 from .plant import DEFAULT_BOUNDS, VpsSimulator
 from .rating import RatingWeights
 
-CONFIG_ERRORS = (ConfigError, SchemaError, ConstraintViolation, ParseError, FileNotFoundError)
+CONFIG_ERRORS = (ConfigError, SchemaError, ConstraintViolation, ParseError, FileNotFoundError,
+                 UnknownGoal)
 
 
 def _setup_logging():
@@ -162,6 +164,14 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
                                output_dir=out_override or cfg.output_dir)
 
 
+def _load_served_kb(cfg: RunConfig) -> KnowledgeBase:
+    """The configured KB, refused with an error naming the goal when it cannot serve it."""
+    kb = load_kb(cfg.kb)
+    cfg.goal.aim  # ConfigError for a goal this engine cannot execute
+    kb.entries_for(cfg.goal.path)  # UnknownGoal for a goal path the KB lacks
+    return kb
+
+
 def _make_plant(cfg: RunConfig) -> VpsSimulator:
     return VpsSimulator(
         weights=cfg.plant.weights,
@@ -237,48 +247,49 @@ def run(ctx, cycles, theta, epsilon):
         flags = {"theta": theta, "epsilon": epsilon}
         cfg = override(cfg, {"cycles": cfg.cycles if cycles is None else cycles,
                              "cognition": {k: v for k, v in flags.items() if v is not None}})
-        kb = load_kb(cfg.kb)
+        kb = _load_served_kb(cfg)
         plant = _make_plant(cfg)
         out = _prepare_out(cfg)
         log_path = out / "runlog.jsonl"
         if log_path.exists() and not ctx.obj["force"]:
             raise ConfigError(f"{log_path} exists; use --force to overwrite")
 
-        state = cognition.CognitionState()
-        cognition.bootstrap(state, plant, cfg.cognition)
-        entries = [{
-            "type": "bootstrap",
-            "design_size": cfg.cognition.s,
-            "cycles_recorded": len(state.d),
-            "x": state.x,
-        }]
-        for _ in range(cfg.cycles):
-            state, kb = cognition.step(state, plant, kb, cfg.cognition, cfg.goal)
-            entry = dict(state.log_entries[-1])
-            entry["type"] = "cycle"
-            entries.append(entry)
-            if entry["selection_ran"] and state.last_rating is not None:
-                entries.append({
-                    "type": "selection",
-                    "iteration": entry["iteration"],
-                    "p_best": state.p_best,
-                    "survivors": list(state.last_rating.survivors),
-                    "eliminated": list(state.last_rating.eliminated),
-                    "ratings": {
-                        pid: {
-                            "improvement": r.improvement,
-                            "norm_obj": r.norm_obj,
-                            "mem_ratio": r.mem_ratio,
-                            "cpu_ratio": r.cpu_ratio,
-                            "aggregate": r.aggregate,
-                            "rank": r.rank,
-                        }
-                        for pid, r in state.last_rating.ratings.items()
-                    },
-                })
         with open(log_path, "w") as fh:
-            for entry in entries:
+            def write(entry):
                 fh.write(json.dumps(entry) + "\n")
+                fh.flush()  # a crashed run leaves every record made so far
+
+            state = cognition.CognitionState()
+            cognition.bootstrap(state, plant, cfg.cognition)
+            write({
+                "type": "bootstrap",
+                "design_size": cfg.cognition.s,
+                "cycles_recorded": len(state.d),
+                "x": state.x,
+            })
+            for _ in range(cfg.cycles):
+                state, kb = cognition.step(state, plant, kb, cfg.cognition, cfg.goal)
+                entry = dict(state.log_entries[-1], type="cycle")
+                write(entry)
+                if entry["selection_ran"] and state.last_rating is not None:
+                    write({
+                        "type": "selection",
+                        "iteration": entry["iteration"],
+                        "p_best": state.p_best,
+                        "survivors": list(state.last_rating.survivors),
+                        "eliminated": list(state.last_rating.eliminated),
+                        "ratings": {
+                            pid: {
+                                "improvement": r.improvement,
+                                "norm_obj": r.norm_obj,
+                                "mem_ratio": r.mem_ratio,
+                                "cpu_ratio": r.cpu_ratio,
+                                "aggregate": r.aggregate,
+                                "rank": r.rank,
+                            }
+                            for pid, r in state.last_rating.ratings.items()
+                        },
+                    })
         save_kb(kb, out / "kb_final.yaml")
         click.echo(f"wrote {log_path} and {out / 'kb_final.yaml'}")
 
@@ -292,7 +303,7 @@ def benchmark_cmd(ctx):
 
     def body():
         cfg = load_config(ctx.obj["config_path"], ctx.obj["seed"], ctx.obj["out"])
-        kb = load_kb(cfg.kb)
+        kb = _load_served_kb(cfg)
         plant = _make_plant(cfg)
         out = _prepare_out(cfg)
         records = report.campaign(

@@ -84,20 +84,11 @@ class CognitionState:
 
 
 def create_initial_design(s: int, bounds, kind: str = "full_factorial", seed: int = 0) -> np.ndarray:
-    """Initial parameter points: equidistant grid by default, LHS optional."""
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    dim = bounds.shape[0]
+    """`s` settings of the plant's one parameter, an (s, 1) column within
+    `bounds` = [[lo, hi]]: equidistant by default, LHS optional."""
+    bounds = np.asarray(bounds, dtype=float).reshape(1, 2)
     if kind == "full_factorial":
-        if dim == 1:
-            return np.linspace(bounds[0, 0], bounds[0, 1], s).reshape(-1, 1)
-        per_dim = max(2, int(math.floor(s ** (1.0 / dim))))
-        axes = [np.linspace(lo, hi, per_dim) for lo, hi in bounds]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        if grid.shape[0] < s:  # top up the grid with space-filling extras
-            rng = np.random.default_rng(seed)
-            extra = optimizers.latin_hypercube(rng, bounds, s - grid.shape[0])
-            grid = np.vstack([grid, extra])
-        return grid[:s]
+        return np.linspace(bounds[0, 0], bounds[0, 1], s).reshape(-1, 1)
     if kind == "lhs":
         rng = np.random.default_rng(seed)
         return optimizers.latin_hypercube(rng, bounds, s)
@@ -193,7 +184,7 @@ def run_selection_cycle(
         algorithm = algorithm_of[up.algorithm]
         try:
             kb = update_characteristics(
-                kb, algorithm, up.performance, up.computational_effort, up.ram_usage
+                kb, goal.path, algorithm, up.performance, up.computational_effort, up.ram_usage
             )
         except RECOVERABLE as exc:
             log.warning("KB update for %s failed: %s", algorithm, exc)

@@ -24,7 +24,10 @@ KB_VERSION = 1
 OVERALL_GOALS = ("Optimization", "AnomalyDetection", "ConditionMonitoring", "PredictiveMaintenance")
 AGGREGATIONS = ("mean", "delta", "min", "max", "value")
 DIRECTIONS = ("minimize", "maximize")
-PARAM_KINDS = ("integer", "real", "categorical")
+# YAML spelling of a parameter type -> ParameterSpec kind; dump_kb writes each kind's first spelling
+PARAM_TYPES = {"int": "integer", "integer": "integer", "real": "real", "float": "real",
+               "categorical": "categorical"}
+PARAM_KINDS = tuple(dict.fromkeys(PARAM_TYPES.values()))
 DATA_KINDS = ("continuous", "discrete", "hybrid", "timed-automata", "neural-net", "preprocessed", "raw")
 REACH_AIMS = ("optimization-min", "optimization-max", "condition-monitoring", "anomaly-detection", "diagnosis")
 ALGORITHM_CLASSES = ("HillClimber", "Trajectory", "Population", "Surrogate", "Baseline")
@@ -84,6 +87,10 @@ class ParameterSpec:
         else:
             if self.min is None or self.max is None:
                 raise SchemaError(f"parameter {self.name!r}: numeric kind needs min and max")
+            if self.kind == "integer" and not all(
+                    isinstance(v, int) for v in (self.default, self.min, self.max)):
+                raise SchemaError(f"parameter {self.name!r}: integer kind needs integer "
+                                  f"default, min and max, got {self.default}, {self.min}, {self.max}")
             if not (self.min <= self.default <= self.max):
                 raise SchemaError(
                     f"parameter {self.name!r}: need min <= default <= max, "
@@ -141,12 +148,6 @@ class AlgorithmEntry:
         if not self.output:
             raise SchemaError(f"algorithm {self.name!r}: empty output designation")
 
-    def parameter(self, name: str) -> ParameterSpec:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     @property
     def defaults(self) -> dict:
         return {p.name: p.default for p in self.parameters}
@@ -196,18 +197,34 @@ class ResourceBudget:
 
 _UNSET = -1
 
+# Each metadata key once: its YAML name, its AlgorithmCharacteristics field, its
+# YAML type and whether a document must hold it. An absent optional key takes the
+# field's default; dump_kb writes the keys in this order. A YAML list is a set of
+# names, and a number is a dynamic characteristic, -1 while unset.
+METADATA_KEYS = (
+    ("Class", "algorithm_class", str, True),
+    ("Input data", "input_data", list, False),
+    ("Output data", "output_data", list, False),
+    ("Reach aim", "reach_aim", list, True),
+    ("Use multithreads", "use_multithreads", bool, False),
+    ("Min training data", "min_training_data", int, False),
+    ("Prefer usage", "prefer_usage", bool, False),
+    ("Avoid usage", "avoid_usage", bool, False),
+    ("Performance", "performance", float, True),
+    ("Computational Effort", "computational_effort", float, True),
+    ("RAM usage", "ram_usage", float, True),
+)
 
-def _unset_to_none(v):
-    return None if v == _UNSET else float(v)
+# YAML type -> (YAML value to field value, field value to YAML value)
+_SAME = (lambda v: v, lambda v: v)
+_CONVERT = {
+    list: (frozenset, sorted),
+    float: (lambda v: None if v == _UNSET else float(v), lambda v: _UNSET if v is None else v),
+}
 
-
-def _none_to_unset(v):
-    return _UNSET if v is None else v
-
-
-# the YAML scalars each typed key accepts; a YAML boolean is never a number
+# the YAML values each type accepts; a YAML boolean is never a number
 _SCALARS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-            float: ((int, float), "a number")}
+            float: ((int, float), "a number"), str: ((str,), "a string"), list: ((list,), "a list")}
 
 
 def _mapping(what: str, block, required: set, optional: set) -> dict:
@@ -221,8 +238,8 @@ def _mapping(what: str, block, required: set, optional: set) -> dict:
     return block
 
 
-def _scalar(what: str, block: dict, key: str, kind: type, default=None):
-    v = block.get(key, default)
+def _scalar(what: str, block: dict, key: str, kind: type):
+    v = block.get(key)
     types, expected = _SCALARS[kind]
     if not isinstance(v, types) or (kind is not bool and isinstance(v, bool)):
         raise SchemaError(f"{what}: {key!r} must be {expected}, got {v!r}")
@@ -232,13 +249,12 @@ def _scalar(what: str, block: dict, key: str, kind: type, default=None):
 def _parse_parameter(name, block) -> ParameterSpec:
     what = f"parameter {name!r}"
     block = _mapping(what, block, {"type", "default"}, {"min", "max", "categories"})
-    kind = {"int": "integer", "integer": "integer", "real": "real",
-            "float": "real", "categorical": "categorical"}.get(block["type"])
+    kind = PARAM_TYPES.get(block["type"])
     if kind is None:
         raise SchemaError(f"{what}: unknown type {block['type']!r}")
     if kind != "categorical":
         for key in ("default", "min", "max"):
-            _scalar(what, block, key, float)
+            _scalar(what, block, key, int if kind == "integer" else float)
     return ParameterSpec(
         name=name,
         kind=kind,
@@ -251,25 +267,12 @@ def _parse_parameter(name, block) -> ParameterSpec:
 
 def _parse_metadata(name, block) -> AlgorithmCharacteristics:
     what = f"algorithm {name!r} metadata"
-    block = _mapping(what, block,
-                     {"Class", "Reach aim", "Performance", "Computational Effort", "RAM usage"},
-                     {"Input data", "Output data", "Use multithreads", "Min training data",
-                      "Prefer usage", "Avoid usage"})
-    flag = lambda key: _scalar(what, block, key, bool, False)
-    dynamic = lambda key: _unset_to_none(_scalar(what, block, key, float))
-    return AlgorithmCharacteristics(
-        algorithm_class=block["Class"],
-        input_data=frozenset(block.get("Input data", ["continuous"])),
-        output_data=frozenset(block.get("Output data", ["continuous"])),
-        reach_aim=frozenset(block["Reach aim"]),
-        use_multithreads=flag("Use multithreads"),
-        min_training_data=_scalar(what, block, "Min training data", int, 0),
-        prefer_usage=flag("Prefer usage"),
-        avoid_usage=flag("Avoid usage"),
-        performance=dynamic("Performance"),
-        computational_effort=dynamic("Computational Effort"),
-        ram_usage=dynamic("RAM usage"),
-    )
+    block = _mapping(what, block, {key for key, *_, required in METADATA_KEYS if required},
+                     {key for key, *_, required in METADATA_KEYS if not required})
+    return AlgorithmCharacteristics(**{
+        attr: _CONVERT.get(kind, _SAME)[0](_scalar(what, block, key, kind))
+        for key, attr, kind, _ in METADATA_KEYS if key in block
+    })
 
 
 def _parse_entry(name, block) -> AlgorithmEntry:
@@ -325,7 +328,7 @@ def parse_kb(text: str) -> KnowledgeBase:
 
 
 def _dump_parameter(p: ParameterSpec) -> dict:
-    block = {"type": {"integer": "int", "real": "real", "categorical": "categorical"}[p.kind],
+    block = {"type": next(t for t, kind in PARAM_TYPES.items() if kind == p.kind),
              "default": p.default}
     if p.kind == "categorical":
         block["categories"] = list(p.categories)
@@ -336,22 +339,10 @@ def _dump_parameter(p: ParameterSpec) -> dict:
 
 
 def _dump_entry(e: AlgorithmEntry) -> dict:
-    m = e.metadata
     return {
         "parameter": {p.name: _dump_parameter(p) for p in e.parameters},
-        "metadata": {
-            "Class": m.algorithm_class,
-            "Input data": sorted(m.input_data),
-            "Output data": sorted(m.output_data),
-            "Reach aim": sorted(m.reach_aim),
-            "Use multithreads": m.use_multithreads,
-            "Min training data": m.min_training_data,
-            "Prefer usage": m.prefer_usage,
-            "Avoid usage": m.avoid_usage,
-            "Performance": _none_to_unset(m.performance),
-            "Computational Effort": _none_to_unset(m.computational_effort),
-            "RAM usage": _none_to_unset(m.ram_usage),
-        },
+        "metadata": {key: _CONVERT.get(kind, _SAME)[1](getattr(e.metadata, attr))
+                     for key, attr, kind, _ in METADATA_KEYS},
         "input": e.input,
         "output": e.output,
     }
@@ -450,35 +441,23 @@ def select_candidates(
 
 def update_characteristics(
     kb: KnowledgeBase,
+    goal_path,
     algorithm: str,
     performance: float,
     effort: float,
     ram: float,
 ) -> KnowledgeBase:
-    """Return a new KB with the three dynamic fields of `algorithm` replaced."""
+    """Return a new KB with the three dynamic fields of the goal path's `algorithm` replaced."""
     for v in (performance, effort, ram):
         if not (0.0 <= v <= 1.0):
             raise SchemaError(f"characteristic value {v} outside [0, 1]")
-    found = False
-    goals = {}
-    for path, entries in kb.goals.items():
-        new_entries = dict(entries)
-        if algorithm in new_entries:
-            found = True
-            e = new_entries[algorithm]
-            new_entries[algorithm] = replace(
-                e,
-                metadata=replace(
-                    e.metadata,
-                    performance=performance,
-                    computational_effort=effort,
-                    ram_usage=ram,
-                ),
-            )
-        goals[path] = new_entries
-    if not found:
+    entries = kb.entries_for(goal_path)
+    if algorithm not in entries:
         raise UnknownAlgorithm(algorithm)
-    return KnowledgeBase(goals=goals)
+    e = entries[algorithm]
+    metadata = replace(e.metadata, performance=performance, computational_effort=effort, ram_usage=ram)
+    return KnowledgeBase(goals={**kb.goals,
+                                tuple(goal_path): {**entries, algorithm: replace(e, metadata=metadata)}})
 
 
 # ---------------------------------------------------------------------------

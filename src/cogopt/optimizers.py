@@ -459,13 +459,4 @@ def run_optimizer(algorithm: str, problem: OptProblem, seed: int,
                   params: dict | None = None) -> OptResult:
     if algorithm not in _RUNNERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    params = dict(params or {})
-    if algorithm == "DifferentialEvolution":
-        for k in ("popsize", "strategy"):
-            if k in params:
-                params[k] = int(round(params[k]))
-    if algorithm == "HillClimber" and "lmm" in params:
-        params["lmm"] = int(round(params["lmm"]))
-    if algorithm == "KrigingSBO" and "designSize" in params:
-        params["designSize"] = int(round(params["designSize"]))
-    return _RUNNERS[algorithm](problem, seed, **params)
+    return _RUNNERS[algorithm](problem, seed, **(params or {}))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp
+from .benchmark import derive_seed
 from .errors import OutOfBounds, SchemaError
 from .rating import validate_weights
 
@@ -106,8 +107,8 @@ class VpsSimulator(PlantAdapter):
                 bounds=[[lo, hi]],
             )
             model = gp.fit(ds, noise=True)
-            curve_seed = int(np.random.SeedSequence((self.seed, self._batch, k)).generate_state(1)[0])
-            curves.append(gp.simulate_conditional(model, grid, seed=curve_seed))
+            curves.append(gp.simulate_conditional(
+                model, grid, seed=derive_seed(self.seed, self._batch, k)))
         return tuple(curves)
 
     def ground_truth(self, x: float) -> float:

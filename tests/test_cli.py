@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cogopt import report
+from cogopt import cognition, report
 from cogopt.cli import RunConfig, default_config_doc, load_config, main
 from cogopt.knowledge import load_kb
 
@@ -46,7 +46,7 @@ class TestInit:
         assert res.exit_code == 0
         kb = load_kb(tmp_path / "kb.yaml")
         entries = kb.entries_for(("Optimization", "minimize", "mean"))
-        assert entries["KrigingSBO"].parameter("designSize").default == 7
+        assert entries["KrigingSBO"].defaults["designSize"] == 7
         cfg = load_config(tmp_path / "config.yaml")
         assert cfg.cycles == 36
 
@@ -95,6 +95,23 @@ class TestRun:
         assert runner.invoke(main, args).exit_code == 0
         assert runner.invoke(main, args).exit_code == 2
         assert runner.invoke(main, ["--force"] + args[:-3] + ["run", "--cycles", "0"]).exit_code == 0
+
+    def test_crashed_run_leaves_its_records(self, runner, tmp_path, monkeypatch):
+        real_step, calls = cognition.step, []
+
+        def step(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("crash in the second cycle")
+            return real_step(*args)
+
+        monkeypatch.setattr(cognition, "step", step)
+        cfg = write_project(tmp_path)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "run"])
+        assert res.exit_code != 0
+        lines = [json.loads(l) for l in (out / "runlog.jsonl").read_text().splitlines()]
+        assert [l["type"] for l in lines if l["type"] != "selection"] == ["bootstrap", "cycle"]
 
     def test_seed_override_changes_trajectory(self, runner, tmp_path):
         cfg = write_project(tmp_path, plant={"noise_sd": 0.05})
@@ -202,6 +219,15 @@ class TestErrors:
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
         assert res.exit_code == 2
         assert "'Avoid Usage'" in res.output
+
+    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    @pytest.mark.parametrize("goal, named", [({"overall_goal": "AnomalyDetection"}, "AnomalyDetection"),
+                                             ({"aggregation": "max"}, "Optimization/minimize/max")])
+    def test_goal_the_kb_cannot_serve_is_refused(self, runner, tmp_path, command, goal, named):
+        cfg = write_project(tmp_path, goal=goal)
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert res.exit_code == 2, res.output
+        assert named in res.output
 
     def test_missing_kb_file(self, runner, tmp_path):
         cfg = write_project(tmp_path)

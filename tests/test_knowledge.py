@@ -1,11 +1,22 @@
 import re
-from dataclasses import replace
+import string
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogopt import report
 from cogopt.errors import ConfigError, SchemaError, UnknownAlgorithm, UnknownGoal
 from cogopt.knowledge import (
+    AGGREGATIONS,
+    ALGORITHM_CLASSES,
+    DATA_KINDS,
+    DIRECTIONS,
+    METADATA_KEYS,
+    OVERALL_GOALS,
+    PARAM_KINDS,
+    REACH_AIMS,
     AlgorithmCharacteristics,
     AlgorithmEntry,
     GoalSpec,
@@ -120,6 +131,12 @@ class TestParsing:
         with pytest.raises(SchemaError):
             ParameterSpec("p", "integer", default=5, min=10, max=3)
 
+    def test_integer_kind_needs_integers(self):
+        with pytest.raises(SchemaError):
+            ParameterSpec("p", "integer", default=7.5, min=3, max=12)
+        with pytest.raises(SchemaError):
+            ParameterSpec("p", "integer", default=7, min=3.0, max=12)
+
     def test_categorical_default_must_be_member(self):
         with pytest.raises(SchemaError):
             ParameterSpec("t", "categorical", default="x", categories=("a", "b"))
@@ -140,6 +157,8 @@ class TestParsing:
         ("max: 12", "maximum: 12", "maximum"),
         ("Min training data: 5", "Min training data: abc", "Min training data"),
         ("Performance: -1", "Performance: high", "Performance"),
+        ("default: 7", "default: 7.5", "default"),
+        ("Reach aim: [optimization-min]", "Reach aim: optimization-min", "Reach aim"),
     ])
     def test_bad_key_or_value_is_refused_by_name(self, old, new, key):
         assert KB_DOC.count(old) == 1
@@ -147,17 +166,77 @@ class TestParsing:
             parse_kb(KB_DOC.replace(old, new))
 
 
+NAMES = st.text(string.ascii_letters, min_size=1, max_size=8)
+DYNAMIC = st.none() | st.floats(0.0, 1.0)
+
+
+def subsets(vocabulary):
+    return st.frozensets(st.sampled_from(vocabulary))
+
+
+@st.composite
+def parameters(draw, name):
+    kind = draw(st.sampled_from(PARAM_KINDS))
+    if kind == "categorical":
+        categories = tuple(draw(st.lists(NAMES, min_size=1, max_size=4)))
+        return ParameterSpec(name, kind, draw(st.sampled_from(categories)), categories=categories)
+    number = st.integers(-1000, 1000) if kind == "integer" else st.floats(-1e6, 1e6)
+    lo, default, hi = sorted(draw(st.lists(number, min_size=3, max_size=3)))
+    return ParameterSpec(name, kind, default, lo, hi)
+
+
+@st.composite
+def entries(draw, name):
+    metadata = AlgorithmCharacteristics(
+        algorithm_class=draw(st.sampled_from(ALGORITHM_CLASSES)),
+        input_data=draw(subsets(DATA_KINDS)),
+        output_data=draw(subsets(DATA_KINDS)),
+        reach_aim=draw(subsets(REACH_AIMS)),
+        use_multithreads=draw(st.booleans()),
+        min_training_data=draw(st.integers(0, 100)),
+        prefer_usage=draw(st.booleans()),
+        avoid_usage=draw(st.booleans()),
+        performance=draw(DYNAMIC),
+        computational_effort=draw(DYNAMIC),
+        ram_usage=draw(DYNAMIC),
+    )
+    names = draw(st.lists(NAMES, max_size=3, unique=True))
+    return AlgorithmEntry(name, tuple(draw(parameters(n)) for n in names), metadata,
+                          input=draw(NAMES), output=draw(NAMES))
+
+
+@st.composite
+def knowledge_bases(draw):
+    paths = draw(st.lists(st.tuples(st.sampled_from(OVERALL_GOALS), st.sampled_from(DIRECTIONS),
+                                    st.sampled_from(AGGREGATIONS)), max_size=3, unique=True))
+    return KnowledgeBase(goals={
+        path: {name: draw(entries(name)) for name in draw(st.lists(NAMES, max_size=3, unique=True))}
+        for path in paths
+    })
+
+
 class TestRoundTrip:
     def test_parse_dump_identity(self):
         kb = parse_kb(KB_DOC)
         assert parse_kb(dump_kb(kb)) == kb
+
+    @settings(max_examples=60, deadline=None)
+    @given(kb=knowledge_bases())
+    def test_generated_kb_round_trips(self, kb):
+        assert parse_kb(dump_kb(kb)) == kb
+
+    def test_each_metadata_field_has_one_yaml_key(self):
+        keys = [key for key, *_ in METADATA_KEYS]
+        attrs = [attr for _, attr, *_ in METADATA_KEYS]
+        assert len(set(keys)) == len(keys)
+        assert sorted(attrs) == sorted(f.name for f in fields(AlgorithmCharacteristics))
 
     def test_default_kb_round_trips(self):
         kb = default_kb()
         assert parse_kb(dump_kb(kb)) == kb
 
     def test_update_then_round_trip(self):
-        kb = update_characteristics(parse_kb(KB_DOC), "Kriging", 0.9, 0.4, 0.3)
+        kb = update_characteristics(parse_kb(KB_DOC), GOAL.path, "Kriging", 0.9, 0.4, 0.3)
         again = parse_kb(dump_kb(kb))
         m = kriging(again).metadata
         assert (m.performance, m.computational_effort, m.ram_usage) == (0.9, 0.4, 0.3)
@@ -295,29 +374,40 @@ class TestSelectCandidates:
 
 class TestUpdate:
     def test_sets_fields(self):
-        kb = update_characteristics(parse_kb(KB_DOC), "Kriging", 0.9, 0.4, 0.3)
+        kb = update_characteristics(parse_kb(KB_DOC), GOAL.path, "Kriging", 0.9, 0.4, 0.3)
         m = kriging(kb).metadata
         assert (m.performance, m.computational_effort, m.ram_usage) == (0.9, 0.4, 0.3)
 
     def test_other_fields_untouched(self):
         before = kriging(parse_kb(KB_DOC))
-        after = kriging(update_characteristics(parse_kb(KB_DOC), "Kriging", 0.5, 0.5, 0.5))
+        after = kriging(update_characteristics(parse_kb(KB_DOC), GOAL.path, "Kriging", 0.5, 0.5, 0.5))
         assert after.parameters == before.parameters
         assert after.metadata.min_training_data == before.metadata.min_training_data
         assert after.input == before.input
 
     def test_out_of_range_rejected(self):
         with pytest.raises(SchemaError):
-            update_characteristics(parse_kb(KB_DOC), "Kriging", 1.2, 0.4, 0.3)
+            update_characteristics(parse_kb(KB_DOC), GOAL.path, "Kriging", 1.2, 0.4, 0.3)
 
     def test_unknown_algorithm(self):
         with pytest.raises(UnknownAlgorithm):
-            update_characteristics(parse_kb(KB_DOC), "Nope", 0.5, 0.5, 0.5)
+            update_characteristics(parse_kb(KB_DOC), GOAL.path, "Nope", 0.5, 0.5, 0.5)
 
     def test_original_kb_not_mutated(self):
         kb = parse_kb(KB_DOC)
-        update_characteristics(kb, "Kriging", 0.9, 0.4, 0.3)
+        update_characteristics(kb, GOAL.path, "Kriging", 0.9, 0.4, 0.3)
         assert kriging(kb).metadata.performance is None
+
+    def test_only_the_goal_paths_entry_changes(self):
+        maximize = ("Optimization", "maximize", "mean")
+        kb = update_characteristics(default_kb(), GOAL.path, "KrigingSBO", 0.9, 0.4, 0.3)
+        assert kb.entries_for(GOAL.path)["KrigingSBO"].metadata.performance == 0.9
+        assert kb.entries_for(maximize)["KrigingSBO"].metadata.performance is None
+
+    def test_unknown_goal_path(self):
+        with pytest.raises(UnknownGoal):
+            update_characteristics(parse_kb(KB_DOC), ("Optimization", "maximize", "mean"),
+                                   "Kriging", 0.5, 0.5, 0.5)
 
 
 def test_default_kb_contents():
@@ -326,7 +416,7 @@ def test_default_kb_contents():
     assert set(entries) == {"RandomSearch", "HillClimber", "GeneralizedSA",
                             "DifferentialEvolution", "KrigingSBO"}
     kriging = entries["KrigingSBO"]
-    assert kriging.parameter("designSize").default == 7
+    assert kriging.defaults["designSize"] == 7
     assert kriging.metadata.min_training_data == 5
     de = entries["DifferentialEvolution"]
     assert de.defaults == {"popsize": 5, "strategy": 2, "F": 0.8, "CR": 0.5, "c": 0.5}

@@ -271,12 +271,6 @@ def test_maximization_by_negation():
     assert evaluated_best == pytest.approx(f(res_min.best_x))
 
 
-def test_run_optimizer_rounds_integer_params():
-    res = opt.run_optimizer("DifferentialEvolution", problem(sphere, SYM, 20), 0,
-                            {"popsize": 5.4, "strategy": 2.1})
-    assert res.evals_used == 20
-
-
 def test_run_optimizer_unknown_algorithm():
     with pytest.raises(ConfigError):
         opt.run_optimizer("GradientDescent", problem(sphere, SYM, 10), 0)
