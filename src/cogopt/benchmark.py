@@ -16,6 +16,7 @@ from scipy.special import stdtr
 
 from . import gp, optimizers
 from .errors import (
+    ConfigError,
     DegenerateInput,
     DuplicatePipelineInGroup,
     InstanceSetTooSmall,
@@ -42,15 +43,6 @@ class EvaluationRecord:
             raise DegenerateInput("budget must be > 0")
 
 
-@dataclass(frozen=True)
-class TestInstanceSet:
-    instances: tuple[gp.Realization, ...]
-    source_model: gp.GPModel
-
-    def __len__(self):
-        return len(self.instances)
-
-
 def derive_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence((master_seed,) + key).generate_state(1)[0])
 
@@ -59,7 +51,7 @@ def generate_test_functions(
     data: gp.Dataset,
     k: int,
     master_seed: int = 0,
-) -> TestInstanceSet:
+) -> tuple[gp.Realization, ...]:
     """Fit a GP to the process data and draw k unconditional instances.
 
     The instances share one sampler, so the grid's prior is factored once for
@@ -67,8 +59,7 @@ def generate_test_functions(
     """
     model = gp.fit(data, noise=True)
     draw = gp.unconditional_sampler(model, gp.default_grid(data.bounds))
-    instances = tuple(draw(derive_seed(master_seed, i)) for i in range(k))
-    return TestInstanceSet(instances=instances, source_model=model)
+    return tuple(draw(derive_seed(master_seed, i)) for i in range(k))
 
 
 def _checkpoint_slice(result: optimizers.OptResult, budget: int):
@@ -124,7 +115,7 @@ def tune_then_benchmark(
     pipeline_id: str,
     algorithm: str,
     param_specs: tuple[ParameterSpec, ...],
-    S: TestInstanceSet,
+    S: tuple[gp.Realization, ...],
     bounds,
     tuning_budget: int,
     bench_budget: int,
@@ -157,7 +148,7 @@ def tune_then_benchmark(
         for j in range(tuning_budget):
             params = _sample_params(rng, param_specs)
             try:
-                res = run_single(algorithm, S.instances[tune_idx], bounds, bench_budget,
+                res = run_single(algorithm, S[tune_idx], bounds, bench_budget,
                                  derive_seed(seed, 1, j), params)
             except RECOVERABLE:
                 continue  # an infeasible sampled config just scores nothing
@@ -166,22 +157,11 @@ def tune_then_benchmark(
                 tuned = params
 
     runs = [
-        run_single(algorithm, S.instances[bench_idx], bounds, bench_budget,
+        run_single(algorithm, S[bench_idx], bounds, bench_budget,
                    derive_seed(seed, 2, rep), tuned)
         for rep in range(reps)
     ]
     return _average_checkpoints(pipeline_id, f"instance-{bench_idx}", runs, checkpoints, tuned)
-
-
-@dataclass(frozen=True)
-class CampaignTask:
-    pipeline: str
-    algorithm: str
-    params: dict
-    instance: str
-    objective: object
-    rep: int
-    seed: int
 
 
 def run_campaign(
@@ -198,41 +178,35 @@ def run_campaign(
 
     `pipelines` holds (pipeline_id, algorithm, params) triples; `objectives`
     maps instance ids to callables.  Results are schedule-independent because
-    seeds derive from indices and records are sorted by deterministic keys.
+    seeds derive from indices and both maps return results in task order.
     """
+    if reps < 1:
+        raise ConfigError("reps must be >= 1")
     checkpoints = tuple(b for b in checkpoints if b <= budget)
-    pnames = [p[0] for p in pipelines]
     inames = sorted(objectives)
     tasks = [
-        CampaignTask(
-            pipeline=pid, algorithm=algo, params=params,
-            instance=iname, objective=objectives[iname], rep=rep,
-            seed=derive_seed(master_seed, pi, ii, rep),
-        )
-        for pi, (pid, algo, params) in enumerate(pipelines)
+        (algo, objectives[iname], derive_seed(master_seed, pi, ii, rep), params)
+        for pi, (_, algo, params) in enumerate(pipelines)
         for ii, iname in enumerate(inames)
         for rep in range(reps)
     ]
 
-    def work(task: CampaignTask):
-        res = run_single(task.algorithm, task.objective, bounds, budget, task.seed, task.params)
-        return task, res
+    def work(task):
+        algo, objective, seed, params = task
+        return run_single(algo, objective, bounds, budget, seed, params)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, tasks))
     else:
-        results = [work(t) for t in tasks]
+        results = list(map(work, tasks))
 
-    grouped: dict[tuple[str, str], list[optimizers.OptResult]] = {}
-    params_of: dict[str, dict] = {}
-    for task, res in sorted(results, key=lambda tr: (tr[0].pipeline, tr[0].instance, tr[0].rep)):
-        grouped.setdefault((task.pipeline, task.instance), []).append(res)
-        params_of[task.pipeline] = task.params
-
-    records = [rec for (pid, iname), runs in grouped.items()
-               for rec in _average_checkpoints(pid, iname, runs, checkpoints, params_of[pid])]
-    records.sort(key=lambda r: (r.instance, r.budget, pnames.index(r.pipeline) if r.pipeline in pnames else -1))
+    # the reps of one (pipeline, instance) pair are one slice of the results
+    slices = (results[j:j + reps] for j in range(0, len(results), reps))
+    records = [rec for pid, _, params in pipelines for iname in inames
+               for rec in _average_checkpoints(pid, iname, next(slices), checkpoints, params)]
+    position = {pid: i for i, (pid, _, _) in enumerate(pipelines)}
+    records.sort(key=lambda r: (r.instance, r.budget, position[r.pipeline]))
     return records
 
 

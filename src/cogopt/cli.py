@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
-import numpy as np
 import yaml
 
 from . import benchmark, cognition, gp, report
@@ -303,6 +302,9 @@ def benchmark_cmd(ctx):
 
     def body():
         cfg = load_config(ctx.obj["config_path"], ctx.obj["seed"], ctx.obj["out"])
+        if cfg.goal.direction == "maximize":
+            raise ConfigError("goal.direction: the campaign ranks by least best_y, "
+                              "so it cannot benchmark a maximize goal")
         kb = _load_served_kb(cfg)
         plant = _make_plant(cfg)
         out = _prepare_out(cfg)
@@ -352,13 +354,13 @@ def simulate(ctx, instances):
         out = _prepare_out(cfg)
         k = instances if instances is not None else cfg.campaign.k_instances
         objectives = report.build_objectives(plant, k, cfg.cognition.master_seed)
-        grid = np.linspace(plant.bounds[0], plant.bounds[1], gp.GRID_SIZE)
+        grid = gp.default_grid(plant.bounds)
         path = out / "simulations.csv"
         with open(path, "w") as fh:
             fh.write("instance,x,y\n")
             for name, obj in objectives.items():
                 for x in grid:
-                    fh.write(f"{name},{float(x)!r},{float(obj(np.array([x])))!r}\n")
+                    fh.write(f"{name},{float(x)!r},{float(obj(x))!r}\n")
         click.echo(f"wrote {path}")
 
     _guarded(ctx, body)

@@ -7,6 +7,8 @@ when the stagnation trigger fired), extracts the winning pipeline's
 parameter proposal from a surrogate of the real process, applies it to the
 plant only when it differs from the current setting by at least `epsilon`,
 ingests new production data, and re-evaluates the stagnation trigger.
+The loop minimizes the goal's sign times the aggregate, so a maximize goal
+maximizes it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import gp, optimizers
 from .benchmark import EvaluationRecord, derive_seed, generate_test_functions, tune_then_benchmark
-from .errors import RECOVERABLE, SchemaError
+from .errors import RECOVERABLE, ConfigError, SchemaError, UnknownGoal
 from .knowledge import (
     GoalSpec,
     KnowledgeBase,
@@ -75,7 +77,7 @@ class CognitionState:
     zeta: int = 0
     iteration: int = 0
     p_best: str | None = None
-    best_history: list[float] = field(default_factory=list)
+    best_history: list[float] = field(default_factory=list)  # least sign * aggregate per step
     last_cycle: int = 0
     # pipeline id -> (algorithm, parameters) as last benchmarked
     tuned: dict[str, tuple[str, dict]] = field(default_factory=dict)
@@ -84,14 +86,14 @@ class CognitionState:
 
 
 def create_initial_design(s: int, bounds, kind: str = "full_factorial", seed: int = 0) -> np.ndarray:
-    """`s` settings of the plant's one parameter, an (s, 1) column within
-    `bounds` = [[lo, hi]]: equidistant by default, LHS optional."""
-    bounds = np.asarray(bounds, dtype=float).reshape(1, 2)
+    """`s` settings of the plant's one parameter within `bounds` = (lo, hi):
+    equidistant by default, LHS optional."""
+    lo, hi = np.asarray(bounds, dtype=float).reshape(2)
     if kind == "full_factorial":
-        return np.linspace(bounds[0, 0], bounds[0, 1], s).reshape(-1, 1)
+        return np.linspace(lo, hi, s)
     if kind == "lhs":
         rng = np.random.default_rng(seed)
-        return optimizers.latin_hypercube(rng, bounds, s)
+        return optimizers.latin_hypercube(rng, (lo, hi), s)
     raise SchemaError(f"unknown design kind {kind!r}")
 
 
@@ -108,23 +110,24 @@ def bootstrap(
         state.last_cycle = max(r.cycle for r in historical)
     else:
         design = create_initial_design(
-            config.s, [plant.bounds], config.design_kind, seed=config.master_seed
+            config.s, plant.bounds, config.design_kind, seed=config.master_seed
         )
         for point in design:
             for _ in range(config.design_reps):
-                plant.apply(float(point[0]))
-            state.x = float(point[0])
+                plant.apply(float(point))
+            state.x = float(point)
         state.d = plant.receive_new_data(state.last_cycle)
         state.last_cycle = max(r.cycle for r in state.d)
     state.best_history = []
     return state
 
 
-def _dataset(state: CognitionState, bounds) -> gp.Dataset:
+def _dataset(state: CognitionState, bounds, sign: float = 1.0) -> gp.Dataset:
+    """The process data with the response the loop minimizes, sign * aggregate."""
     return gp.Dataset(
-        X=np.array([[r.x] for r in state.d]),
-        y=np.array([r.aggregate for r in state.d]),
-        bounds=[list(bounds)],
+        X=np.array([r.x for r in state.d]),
+        y=sign * np.array([r.aggregate for r in state.d]),
+        bounds=bounds,
     )
 
 
@@ -137,7 +140,7 @@ def run_selection_cycle(
 ) -> KnowledgeBase:
     """Simulate, benchmark candidates, rate, and fold results into the KB."""
     cycle_seed = derive_seed(config.master_seed, 0xC, state.iteration)
-    data = _dataset(state, bounds)
+    data = _dataset(state, bounds, goal.sign)
     S = generate_test_functions(data, config.k_instances, master_seed=cycle_seed)
 
     pipelines = compose_pipelines(kb, goal.path)
@@ -149,7 +152,6 @@ def run_selection_cycle(
     if baseline is not None and baseline not in candidates:
         candidates = [baseline] + candidates
 
-    bbounds = np.array([bounds], dtype=float)
     # one shared instance draw per cycle so all pipelines are comparable
     draw = np.random.default_rng(derive_seed(cycle_seed, 0xD))
     tune_idx = int(draw.integers(config.k_instances))
@@ -160,7 +162,7 @@ def run_selection_cycle(
     for i, pipeline in enumerate(candidates):
         entry = pipeline.algorithm
         records.extend(tune_then_benchmark(
-            pipeline.pipeline_id, entry.name, entry.parameters, S, bbounds,
+            pipeline.pipeline_id, entry.name, entry.parameters, S, bounds,
             tuning_budget=config.tuning_budget,
             bench_budget=config.bench_budget,
             reps=config.reps,
@@ -196,23 +198,25 @@ def get_best_x(
     state: CognitionState,
     config: CognitionConfig,
     bounds,
+    sign: float = 1.0,
 ) -> float:
-    """Winning pipeline's proposal on the surrogate of the real process,
-    searched by its algorithm with the parameters it was benchmarked with."""
+    """Winning pipeline's proposal on the surrogate of the real process
+    (of sign * aggregate), searched by its algorithm with the parameters it
+    was benchmarked with."""
     if p_best is None or state.x is None:
         return state.x
     try:
-        data = _dataset(state, bounds)
+        data = _dataset(state, bounds, sign)
         model = gp.fit(data, noise=True)
         objective = lambda x: float(gp.predict(model, x)[0][0])
         algo, params = state.tuned[p_best]
         problem = optimizers.OptProblem(
-            objective=objective, bounds=[list(bounds)], budget=config.bench_budget
+            objective=objective, bounds=bounds, budget=config.bench_budget
         )
         res = optimizers.run_optimizer(
             algo, problem, derive_seed(config.master_seed, 0xA, state.iteration), params
         )
-        return float(res.best_x[0])
+        return res.best_x
     except RECOVERABLE as exc:
         log.warning("proposal search failed (%s); keeping current x", exc)
         return state.x
@@ -233,10 +237,12 @@ def step(
         try:
             kb = run_selection_cycle(state, kb, config, goal, bounds)
             selection_ran = True
+        except (UnknownGoal, ConfigError):
+            raise  # a goal or setting the loop cannot serve fails every cycle alike
         except RECOVERABLE as exc:
             log.error("selection cycle failed: %s", exc)
 
-    x_best = get_best_x(state.p_best, state, config, bounds)
+    x_best = get_best_x(state.p_best, state, config, bounds, goal.sign)
     applied = False
     epsilon = config.resolved_epsilon(bounds)
     if x_best is not None and abs(state.x - x_best) >= epsilon:
@@ -252,7 +258,7 @@ def step(
         state.d.extend(new)
         state.last_cycle = max(r.cycle for r in new)
 
-    best_now = min(r.aggregate for r in state.d)
+    best_now = min(goal.sign * r.aggregate for r in state.d)
     state.best_history.append(best_now)
 
     # only new data can arm the trigger: selection on unchanged data repeats itself
@@ -261,7 +267,7 @@ def step(
         prev = state.best_history[-(window + 1)]
         rel = (prev - best_now) / max(abs(prev), 1e-12)
         stagnant = rel < config.stagnation_delta
-        latest = new[-1].aggregate
+        latest = goal.sign * new[-1].aggregate
         decreased = (latest - best_now) / max(abs(best_now), 1e-12) > config.stagnation_delta
         if stagnant or decreased:
             state.zeta = 1

@@ -30,33 +30,31 @@ _NUGGET_FLOOR = 1e-10      # least nugget, as a fraction of the signal variance
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed points X (n, dim) with scalar responses y (n,) inside bounds."""
+    """Observed settings X (n,) of the one parameter with responses y (n,)
+    inside bounds (lo, hi)."""
 
     X: np.ndarray
     y: np.ndarray
-    bounds: np.ndarray  # (dim, 2)
+    bounds: tuple[float, float]
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
-        bounds = np.atleast_2d(np.asarray(self.bounds, dtype=float))
+        X = np.asarray(self.X, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        bounds = np.asarray(self.bounds, dtype=float)
+        if X.ndim != 1 or y.ndim != 1 or bounds.shape != (2,):
+            raise SchemaError("X and y must be vectors and bounds a (lo, hi) pair")
+        lo, hi = map(float, bounds)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "bounds", bounds)
-        if X.shape[0] != y.size:
-            raise SchemaError("X and y must have the same number of rows")
+        object.__setattr__(self, "bounds", (lo, hi))
+        if X.size != y.size:
+            raise SchemaError("X and y must have the same length")
         if y.size < 2:
             raise SchemaError("need at least two observations")
-        if bounds.shape != (X.shape[1], 2):
-            raise SchemaError("bounds must be (dim, 2)")
-        if np.any(bounds[:, 0] >= bounds[:, 1]):
-            raise SchemaError("bounds need lo < hi per dimension")
-        if np.any(X < bounds[:, 0] - 1e-9) or np.any(X > bounds[:, 1] + 1e-9):
+        if not lo < hi:
+            raise SchemaError("bounds need lo < hi")
+        if np.any(X < lo - 1e-9) or np.any(X > hi + 1e-9):
             raise SchemaError("data points outside declared bounds")
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
 
     @property
     def n(self) -> int:
@@ -75,15 +73,14 @@ class GPModel:
 
     def state_bytes(self) -> int:
         """Deterministic size accounting: training set plus triangular factor."""
-        n, dim = self.data.n, self.data.dim
-        return 8 * n * (dim + 1) + 8 * n * n
+        n = self.data.n
+        return 16 * n + 8 * n * n
 
 
 @dataclass(frozen=True)
 class Realization:
     """A simulated objective curve, piecewise linear between grid points."""
 
-    kind: str               # "conditional" | "unconditional"
     grid: np.ndarray        # strictly increasing 1-D grid
     values: np.ndarray
     seed: int
@@ -98,15 +95,12 @@ class Realization:
         if np.any(np.diff(grid) <= 0):
             raise SchemaError("grid must be strictly increasing")
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.interp(x.ravel()[0] if x.ndim else float(x), self.grid, self.values)
+    def __call__(self, x: float) -> float:
+        return np.interp(float(x), self.grid, self.values)
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    return np.subtract.outer(a, b) ** 2
 
 
 def kernel(a, b, lengthscale: float, signal_var: float) -> np.ndarray:
@@ -161,7 +155,7 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
     still carries a 1e-10 * signal_var nugget.  Raises `SingularCovariance`
     when a candidate does not factor.
     """
-    width = float(np.mean(data.bounds[:, 1] - data.bounds[:, 0]))
+    width = data.bounds[1] - data.bounds[0]
     vy = max(float(np.var(data.y)), 1e-12)
     sv_range = (1e-4 * vy, 4.0 * vy)
     ls_grid = np.geomspace(1e-3 * width, 2.0 * width, 32)
@@ -208,10 +202,10 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
 
 
 def predict(model: GPModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance at one point or an array of points."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.data.dim:
-        raise SchemaError(f"points need {model.data.dim} columns, got shape {x.shape}")
+    """Posterior mean and variance vectors at one setting or a vector of settings."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1:
+        raise SchemaError(f"predict takes a setting or a vector of settings, got shape {x.shape}")
     Ks = kernel(x, model.data.X, model.lengthscale, model.signal_var)
     mean = model.mean + Ks @ model.alpha
     v = solve_triangular(model.chol, Ks.T, lower=True)
@@ -220,8 +214,8 @@ def predict(model: GPModel, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_grid(bounds, size: int = GRID_SIZE) -> np.ndarray:
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    return np.linspace(bounds[0, 0], bounds[0, 1], size)
+    lo, hi = bounds
+    return np.linspace(lo, hi, size)
 
 
 def unconditional_sampler(model: GPModel, grid: np.ndarray):
@@ -231,13 +225,12 @@ def unconditional_sampler(model: GPModel, grid: np.ndarray):
     once, when the sampler is made, so every draw from one sampler shares it.
     """
     grid = np.asarray(grid, dtype=float).ravel()
-    pts = grid.reshape(-1, 1)
-    L = _chol(np.exp(-_sqdist(pts, pts) / (2.0 * model.lengthscale ** 2)))
+    L = _chol(np.exp(-_sqdist(grid, grid) / (2.0 * model.lengthscale ** 2)))
 
     def draw(seed: int) -> Realization:
         z = np.random.default_rng(seed).standard_normal(grid.size)
         values = model.mean + math.sqrt(model.signal_var) * (L @ z)
-        return Realization(kind="unconditional", grid=grid, values=values, seed=seed)
+        return Realization(grid=grid, values=values, seed=seed)
     return draw
 
 
@@ -254,20 +247,20 @@ def simulate_conditional(model: GPModel, grid: np.ndarray, seed: int = 0) -> Rea
     posterior mean, up to the 1e-10 nugget on the training correlation matrix.
     """
     grid = np.asarray(grid, dtype=float).ravel()
-    X = model.data.X.ravel()
+    X = model.data.X
     full = np.unique(np.concatenate([grid, X]))
     uncond = simulate_unconditional(model, full, seed=seed)
 
     # posterior mean from the real observations
-    m_data, _ = predict(model, full.reshape(-1, 1))
+    m_data, _ = predict(model, full)
 
     # posterior mean treating the draw's values at the training inputs as data
     idx = np.searchsorted(full, X)
     y_sim = uncond.values[idx]
-    Kxx = kernel(model.data.X, model.data.X, model.lengthscale, model.signal_var)
+    Kxx = kernel(X, X, model.lengthscale, model.signal_var)
     L = _chol(Kxx / model.signal_var) * math.sqrt(model.signal_var)
-    Ks = kernel(full.reshape(-1, 1), model.data.X, model.lengthscale, model.signal_var)
+    Ks = kernel(full, X, model.lengthscale, model.signal_var)
     m_sim = model.mean + Ks @ cho_solve((L, True), y_sim - model.mean)
 
     values = uncond.values + m_data - m_sim
-    return Realization(kind="conditional", grid=full, values=values, seed=seed)
+    return Realization(grid=full, values=values, seed=seed)

@@ -66,6 +66,11 @@ class GoalSpec:
             raise ConfigError(f"goal {self.overall_goal!r} is not executable in this engine")
         return "optimization-min" if self.direction == "minimize" else "optimization-max"
 
+    @property
+    def sign(self) -> float:
+        """1 to minimize, -1 to maximize: the loop minimizes sign * the aggregate."""
+        return 1.0 if self.direction == "minimize" else -1.0
+
 
 @dataclass(frozen=True)
 class ParameterSpec:

@@ -1,11 +1,11 @@
 """The black-box optimizer portfolio behind a single run interface.
 
-Five bounded single-objective minimizers: uniform random sampling (the
-baseline), a limited-memory quasi-Newton hill climber with finite-difference
-gradients and random restarts, generalized simulated annealing with a
-Tsallis visiting distribution, classic differential evolution with optional
-self-adaptation, and Kriging-based surrogate optimization driven by expected
-improvement.  Every run is a pure function of (problem, seed, params): the
+Five bounded minimizers of an objective of the plant's one parameter:
+uniform random sampling (the baseline), a limited-memory quasi-Newton hill
+climber with finite-difference gradients and random restarts, generalized
+simulated annealing with a Tsallis visiting distribution, classic
+differential evolution with optional self-adaptation, and Kriging-based
+surrogate optimization driven by expected improvement.  Every run is a pure function of (problem, seed, params): the
 metering wrapper counts evaluations, enforces bounds and budget, and tracks
 the best-so-far trace, per-evaluation CPU time, and deterministic
 state-size-based memory accounting.
@@ -29,25 +29,22 @@ BASELINE = "RandomSearch"
 
 @dataclass
 class OptProblem:
-    objective: callable          # f(np.ndarray of shape (dim,)) -> float
-    bounds: np.ndarray           # (dim, 2)
+    objective: callable          # f(float) -> float
+    bounds: tuple[float, float]  # (lo, hi)
     budget: int
 
     def __post_init__(self):
-        self.bounds = np.atleast_2d(np.asarray(self.bounds, dtype=float))
-        if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
-            raise ConfigError("bounds need lo < hi per dimension")
+        lo, hi = np.asarray(self.bounds, dtype=float).reshape(2)
+        if not lo < hi:
+            raise ConfigError("bounds need lo < hi")
+        self.bounds = (float(lo), float(hi))
         if self.budget < 1:
             raise ConfigError("budget must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.bounds.shape[0]
 
 
 @dataclass(frozen=True)
 class OptResult:
-    best_x: np.ndarray
+    best_x: float
     best_y: float
     trace: np.ndarray            # best-so-far objective per evaluation
     evals_used: int
@@ -65,7 +62,7 @@ class MeteredObjective:
         self.trace: list[float] = []
         self.cpu: list[float] = []
         self.mem: list[int] = []
-        self.best_x: np.ndarray | None = None
+        self.best_x: float | None = None
         self.best_y = math.inf
         self._state_bytes = base_state_bytes
         self._peak = base_state_bytes
@@ -83,16 +80,17 @@ class MeteredObjective:
         self._state_bytes = int(n)
         self._peak = max(self._peak, self._state_bytes)
 
-    def __call__(self, x) -> float:
+    def __call__(self, x: float) -> float:
         if self.remaining <= 0:
             raise BudgetExhausted(f"budget of {self.budget} evaluations exhausted")
-        x = np.asarray(x, dtype=float).ravel()
-        if np.any(x < self.bounds[:, 0] - 1e-12) or np.any(x > self.bounds[:, 1] + 1e-12):
+        x = float(x)
+        lo, hi = self.bounds
+        if x < lo - 1e-12 or x > hi + 1e-12:
             raise OutOfBounds(f"point {x} outside bounds")
         y = float(self._fn(x))
         if y < self.best_y:
             self.best_y = y
-            self.best_x = x.copy()
+            self.best_x = x
         self.trace.append(self.best_y)
         self.cpu.append(time.thread_time() - self._t0)
         self.mem.append(self._peak)
@@ -110,10 +108,8 @@ class MeteredObjective:
 
 
 def _uniform(rng, bounds, n=None):
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    if n is None:
-        return rng.uniform(lo, hi)
-    return rng.uniform(lo, hi, size=(n, bounds.shape[0]))
+    lo, hi = bounds
+    return rng.uniform(lo, hi, size=n)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +118,7 @@ def _uniform(rng, bounds, n=None):
 
 def random_search(problem: OptProblem, seed: int) -> OptResult:
     rng = np.random.default_rng(seed)
-    f = MeteredObjective(problem, base_state_bytes=8 * (2 * problem.dim + 1))
+    f = MeteredObjective(problem, base_state_bytes=8 * 3)
     while f.remaining > 0:
         f(_uniform(rng, problem.bounds))
     return f.result()
@@ -132,26 +128,20 @@ def random_search(problem: OptProblem, seed: int) -> OptResult:
 # Limited-memory quasi-Newton hill climber
 
 
-def _fd_gradient(f: MeteredObjective, x, h):
-    """Central differences with the stencil shifted inside the bounds."""
-    lo, hi = f.bounds[:, 0], f.bounds[:, 1]
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        a = x.copy()
-        b = x.copy()
-        a[i] = min(x[i] + h[i], hi[i])
-        b[i] = max(x[i] - h[i], lo[i])
-        if a[i] == b[i]:
-            g[i] = 0.0
-            continue
-        if f.remaining < 2:
-            raise BudgetExhausted("not enough budget for a gradient")
-        g[i] = (f(a) - f(b)) / (a[i] - b[i])
-    return g
+def _fd_gradient(f: MeteredObjective, x: float, h: float) -> float:
+    """Central difference with the stencil shifted inside the bounds."""
+    lo, hi = f.bounds
+    a = min(x + h, hi)
+    b = max(x - h, lo)
+    if a == b:
+        return 0.0
+    if f.remaining < 2:
+        raise BudgetExhausted("not enough budget for a gradient")
+    return (f(a) - f(b)) / (a - b)
 
 
 def hill_climber(problem: OptProblem, seed: int, lmm: int = 5,
-                 x0: np.ndarray | None = None) -> OptResult:
+                 x0: float | None = None) -> OptResult:
     """Bounded L-BFGS-style descent with random restarts.
 
     `x0` overrides the first start point (used by tests to force a start at
@@ -160,29 +150,28 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5,
     if lmm < 1:
         raise ConfigError("lmm must be >= 1")
     rng = np.random.default_rng(seed)
-    dim = problem.dim
-    f = MeteredObjective(problem, base_state_bytes=8 * dim * (2 * lmm + 4))
-    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+    f = MeteredObjective(problem, base_state_bytes=8 * (2 * lmm + 4))
+    lo, hi = problem.bounds
     h = 1e-6 * (hi - lo)
-    gtol = 1e-9 * max(1.0, float(np.max(hi - lo)))
+    gtol = 1e-9 * max(1.0, hi - lo)
 
     first = True
     try:
         while f.remaining > 0:
-            x = np.asarray(x0, dtype=float) if (first and x0 is not None) else _uniform(rng, problem.bounds)
+            x = float(x0) if (first and x0 is not None) else _uniform(rng, problem.bounds)
             first = False
             fx = f(x)
             g = _fd_gradient(f, x, h)
-            s_hist: list[np.ndarray] = []
-            y_hist: list[np.ndarray] = []
+            s_hist: list[float] = []
+            y_hist: list[float] = []
             while f.remaining > 0:
-                pg = g.copy()  # projected gradient: zero where pushing outside
-                pg[(x <= lo + 1e-14) & (pg > 0)] = 0.0
-                pg[(x >= hi - 1e-14) & (pg < 0)] = 0.0
-                if np.linalg.norm(pg) < gtol:
+                # projected gradient: zero where it pushes outside
+                pushing_out = (x <= lo + 1e-14 and g > 0) or (x >= hi - 1e-14 and g < 0)
+                pg = 0.0 if pushing_out else g
+                if abs(pg) < gtol:
                     break  # converged; restart from a fresh point
                 d = _two_loop(g, s_hist, y_hist)
-                if d @ g >= 0:
+                if d * g >= 0:
                     d = -g
                 # backtracking line search on the clipped step
                 alpha = 1.0
@@ -190,11 +179,11 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5,
                 for _ in range(30):
                     if f.remaining < 1:
                         raise BudgetExhausted("line search out of budget")
-                    xn = np.clip(x + alpha * d, lo, hi)
-                    if np.allclose(xn, x):
+                    xn = min(max(x + alpha * d, lo), hi)
+                    if np.isclose(xn, x):
                         break
                     fn = f(xn)
-                    if fn < fx - 1e-4 * abs(alpha) * abs(pg @ d):
+                    if fn < fx - 1e-4 * abs(alpha) * abs(pg * d):
                         accepted = True
                         break
                     alpha *= 0.5
@@ -212,30 +201,30 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5,
     return f.result()
 
 
-def _two_loop(g, s_hist, y_hist):
+def _two_loop(g: float, s_hist, y_hist) -> float:
     """Standard L-BFGS two-loop recursion for the search direction."""
-    q = g.copy()
+    q = g
     alphas = []
     for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        sy = s @ y
+        sy = s * y
         if sy <= 1e-16:
             alphas.append((0.0, s, y, 0.0))
             continue
         rho = 1.0 / sy
-        a = rho * (s @ q)
+        a = rho * (s * q)
         q -= a * y
         alphas.append((a, s, y, rho))
     if y_hist:
         s, y = s_hist[-1], y_hist[-1]
-        yy = y @ y
-        gamma = (s @ y) / yy if yy > 0 else 1.0
+        yy = y * y
+        gamma = (s * y) / yy if yy > 0 else 1.0
     else:
         gamma = 1.0
     r = gamma * q
     for a, s, y, rho in reversed(alphas):
         if rho == 0.0:
             continue
-        b = rho * (y @ r)
+        b = rho * (y * r)
         r += (a - b) * s
     return -r
 
@@ -244,11 +233,12 @@ def _two_loop(g, s_hist, y_hist):
 # Generalized simulated annealing
 
 
-def _reflect(x, lo, hi):
-    """Fold arbitrary proposals back into the box (mirror boundaries)."""
+def _reflect(x: float, lo: float, hi: float) -> float:
+    """Fold an arbitrary proposal back into [lo, hi] (mirror boundaries)."""
     span = hi - lo
-    z = np.mod(x - lo, 2.0 * span)
-    z = np.where(z > span, 2.0 * span - z, z)
+    z = (x - lo) % (2.0 * span)
+    if z > span:
+        z = 2.0 * span - z
     return lo + z
 
 
@@ -259,8 +249,8 @@ def generalized_sa(problem: OptProblem, seed: int, temp: float = 100.0,
     if temp <= 0:
         raise ConfigError("temp must be > 0")
     rng = np.random.default_rng(seed)
-    f = MeteredObjective(problem, base_state_bytes=8 * (2 * problem.dim + 4))
-    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+    f = MeteredObjective(problem, base_state_bytes=8 * 6)
+    lo, hi = problem.bounds
     span = hi - lo
 
     x = _uniform(rng, problem.bounds)
@@ -271,7 +261,7 @@ def generalized_sa(problem: OptProblem, seed: int, temp: float = 100.0,
     while f.remaining > 0:
         tv = temp * c / ((1.0 + t) ** (qv - 1.0) - 1.0)
         # heavy-tailed q-Gaussian step via the normal/gamma construction
-        u = rng.standard_normal(problem.dim)
+        u = rng.standard_normal()
         g = rng.gamma(df / 2.0, 2.0)
         step = u / math.sqrt(max(g / df, 1e-300))
         width = tv ** (1.0 / (3.0 - qv))
@@ -310,9 +300,8 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
     if not (0.0 <= F <= 2.0) or not (0.0 <= CR <= 1.0) or not (0.0 <= c <= 1.0):
         raise ConfigError("F in [0,2], CR in [0,1], c in [0,1]")
     rng = np.random.default_rng(seed)
-    dim = problem.dim
-    f = MeteredObjective(problem, base_state_bytes=8 * dim * popsize + 8 * popsize)
-    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+    f = MeteredObjective(problem, base_state_bytes=16 * popsize)
+    lo, hi = problem.bounds
 
     pop = _uniform(rng, problem.bounds, popsize)
     fit = np.full(popsize, np.inf)
@@ -323,7 +312,9 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
 
     Fm, CRm = F, CR
     while f.remaining > 0:
-        best = pop[int(np.argmin(fit))]
+        # the generation's best slot: a member replaced in it during the
+        # generation is the best that later mutants see
+        ibest = int(np.argmin(fit))
         succ_F: list[float] = []
         succ_CR: list[float] = []
         for i in range(popsize):
@@ -336,6 +327,7 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
                 Fi, CRi = Fm, CRm
             r = _distinct(rng, popsize, i, 5)
             a, b, cc, d, e = (pop[j] for j in r)
+            best = pop[ibest]
             if strategy == 1:
                 mutant = a + Fi * (b - cc)
             elif strategy == 2:
@@ -346,11 +338,10 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
                 mutant = best + Fi * (a - b + cc - d)
             else:
                 mutant = a + Fi * (b - cc + d - e)
-            cross = rng.uniform(size=dim) < CRi
-            if CRi > 0.0:
-                cross[rng.integers(dim)] = True
-            trial = np.where(cross, mutant, pop[i])
-            trial = np.clip(trial, lo, hi)
+            # binomial crossover of one coordinate: CR > 0 forces the mutant's;
+            # its uniform draw is still made, so seeded runs keep their stream
+            rng.uniform()
+            trial = min(max(mutant if CRi > 0.0 else pop[i], lo), hi)
             ft = f(trial)
             if ft <= fit[i]:
                 pop[i] = trial
@@ -376,10 +367,10 @@ def _distinct(rng, popsize, exclude, k):
 
 
 def latin_hypercube(rng, bounds, n: int) -> np.ndarray:
-    """One point per equal-width stratum and dimension, strata permuted."""
-    dim = bounds.shape[0]
-    u = (rng.uniform(size=(n, dim)) + np.stack([rng.permutation(n) for _ in range(dim)], axis=1)) / n
-    return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
+    """One point per equal-width stratum of (lo, hi), strata permuted."""
+    lo, hi = bounds
+    u = (rng.uniform(size=n) + rng.permutation(n)) / n
+    return lo + u * (hi - lo)
 
 
 def _expected_improvement(mu, var, y_best):
@@ -399,20 +390,20 @@ def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
         raise ConfigError("designType must be Lhd or Uniform")
     rng = np.random.default_rng(seed)
     f = MeteredObjective(problem)
-    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+    lo, hi = problem.bounds
 
     if designType == "Lhd":
         design = latin_hypercube(rng, problem.bounds, designSize)
     else:
         design = _uniform(rng, problem.bounds, designSize)
-    X: list[np.ndarray] = []
+    X: list[float] = []
     y: list[float] = []
     for x in design:
         if f.remaining <= 0:
             break
         y.append(f(x))
         X.append(x)
-        f.set_state_bytes(8 * len(X) * (problem.dim + 1))
+        f.set_state_bytes(16 * len(X))
 
     while f.remaining > 0:
         ds = gp.Dataset(X=np.asarray(X), y=np.asarray(y), bounds=problem.bounds)
@@ -427,18 +418,18 @@ def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
         if model is None:
             xn = _uniform(rng, problem.bounds)
         else:
-            f.set_state_bytes(8 * len(X) * (problem.dim + 1) + model.state_bytes())
+            f.set_state_bytes(16 * len(X) + model.state_bytes())
             cand = _uniform(rng, problem.bounds, 2048)
             # local refinement around the incumbent best
-            local = f.best_x + 0.01 * (hi - lo) * rng.standard_normal((64, problem.dim))
-            cand = np.vstack([cand, np.clip(local, lo, hi)])
+            local = f.best_x + 0.01 * (hi - lo) * rng.standard_normal(64)
+            cand = np.concatenate([cand, np.clip(local, lo, hi)])
             mu, var = gp.predict(model, cand)
             ei = _expected_improvement(mu, var, f.best_y)
             xn = cand[int(np.argmax(ei))]
-            if np.isclose(xn, np.asarray(X), atol=1e-12).all(axis=1).any():
+            if np.isclose(xn, X, atol=1e-12).any():
                 xn = _uniform(rng, problem.bounds)
         yn = f(xn)
-        X.append(np.asarray(xn, dtype=float).ravel())
+        X.append(float(xn))
         y.append(yn)
     return f.result()
 

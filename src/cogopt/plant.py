@@ -85,7 +85,6 @@ class VpsSimulator(PlantAdapter):
         self._seed_data = load_seed_dataset(seed_data_path)
         self._rng = np.random.default_rng(self.seed)
         self._records: list[ProductionCycleRecord] = []
-        self._batch = 0
         self._curves = self._build_curves()
 
     @property
@@ -97,18 +96,12 @@ class VpsSimulator(PlantAdapter):
         return tuple(self._records)
 
     def _build_curves(self) -> tuple[gp.Realization, ...]:
-        lo, hi = self._bounds
-        grid = np.linspace(lo, hi, gp.GRID_SIZE)
+        grid = gp.default_grid(self._bounds)
         curves = []
         for k in range(3):
-            ds = gp.Dataset(
-                X=self._seed_data[:, 0].reshape(-1, 1),
-                y=self._seed_data[:, 1 + k],
-                bounds=[[lo, hi]],
-            )
+            ds = gp.Dataset(X=self._seed_data[:, 0], y=self._seed_data[:, 1 + k], bounds=self._bounds)
             model = gp.fit(ds, noise=True)
-            curves.append(gp.simulate_conditional(
-                model, grid, seed=derive_seed(self.seed, self._batch, k)))
+            curves.append(gp.simulate_conditional(model, grid, seed=derive_seed(self.seed, 0, k)))
         return tuple(curves)
 
     def ground_truth(self, x: float) -> float:
@@ -116,12 +109,7 @@ class VpsSimulator(PlantAdapter):
         return float(sum(w * c(x) for w, c in zip(self.weights, self._curves)))
 
     def ground_truth_objective(self):
-        return lambda x: self.ground_truth(float(np.asarray(x).ravel()[0]))
-
-    def new_batch(self) -> None:
-        """A fresh corn batch: re-seed the ground-truth curves, keep history."""
-        self._batch += 1
-        self._curves = self._build_curves()
+        return self.ground_truth
 
     def apply(self, x: float) -> ProductionCycleRecord:
         x = float(x)

@@ -33,16 +33,11 @@ def portfolio_from_kb(kb: KnowledgeBase, goal_path) -> list[tuple[str, str, dict
 def build_objectives(plant: VpsSimulator, k_instances: int, master_seed: int) -> dict:
     """Ground-truth objective plus k unconditional simulation instances."""
     seed_data = plant._seed_data
-    lo, hi = plant.bounds
-    weights = plant.weights
-    data = gp.Dataset(
-        X=seed_data[:, 0].reshape(-1, 1),
-        y=seed_data[:, 1:4] @ np.asarray(weights),
-        bounds=[[lo, hi]],
-    )
+    data = gp.Dataset(X=seed_data[:, 0], y=seed_data[:, 1:4] @ np.asarray(plant.weights),
+                      bounds=plant.bounds)
     S = benchmark.generate_test_functions(data, k_instances, master_seed=master_seed)
     objectives = {GROUND_TRUTH: plant.ground_truth_objective()}
-    for i, inst in enumerate(S.instances):
+    for i, inst in enumerate(S):
         objectives[f"{SIM_PREFIX}{i}"] = inst
     return objectives
 
@@ -53,8 +48,7 @@ def campaign(plant: VpsSimulator, kb: KnowledgeBase, goal_path, *,
              workers: int = 1) -> list[EvaluationRecord]:
     objectives = build_objectives(plant, k_instances, master_seed)
     pipelines = portfolio_from_kb(kb, goal_path)
-    bounds = np.array([plant.bounds], dtype=float)
-    records = run_campaign(pipelines, objectives, bounds, budget,
+    records = run_campaign(pipelines, objectives, plant.bounds, budget,
                            checkpoints=tuple(checkpoints), reps=reps,
                            master_seed=master_seed, workers=workers)
     return rank_algorithms(records)

@@ -138,16 +138,16 @@ def test_05_weight_scenarios():
 
 
 def test_06_gp_simulation_oracles():
-    X = np.linspace(0, 1, 12).reshape(-1, 1)
-    y = np.sin(2 * np.pi * X.ravel()) + 0.3 * X.ravel()
-    ds = gp.Dataset(X=X, y=y, bounds=[[0.0, 1.0]])
+    X = np.linspace(0, 1, 12)
+    y = np.sin(2 * np.pi * X) + 0.3 * X
+    ds = gp.Dataset(X=X, y=y, bounds=(0.0, 1.0))
     model = gp.fit(ds)
 
     tol = 1e-3 * (y.max() - y.min())
     interp_err = 0.0
     for seed in range(5):
         r = gp.simulate_conditional(model, gp.default_grid(ds.bounds, 128), seed=seed)
-        vals = np.array([r(x) for x in X.ravel()])
+        vals = np.array([r(x) for x in X])
         interp_err = max(interp_err, float(np.max(np.abs(vals - y))))
 
     grid = np.linspace(0, 1, 15)
@@ -157,8 +157,7 @@ def test_06_gp_simulation_oracles():
     emp = np.cov(draws.T, bias=True) + np.outer(
         draws.mean(axis=0) - model.mean, draws.mean(axis=0) - model.mean
     )
-    want = gp.kernel(grid.reshape(-1, 1), grid.reshape(-1, 1),
-                     model.lengthscale, model.signal_var)
+    want = gp.kernel(grid, grid, model.lengthscale, model.signal_var)
     mask = want >= 0.1 * model.signal_var
     cov_err = float(np.max(np.abs(emp[mask] - want[mask]) / want[mask]))
     verdict(6, interp_err <= tol and cov_err < 0.15,
@@ -184,7 +183,7 @@ def test_07_control_flow(monkeypatch):
 
     monkeypatch.setattr(cognition, "run_selection_cycle", fake_selection)
     monkeypatch.setattr(cognition, "get_best_x",
-                        lambda p, s, c, b: next(proposals, s.x))
+                        lambda p, s, c, b, sign: next(proposals, s.x))
     for _ in range(10):
         state, kb = step(state, plant, kb, cfg, GOAL)
 
@@ -240,15 +239,15 @@ def test_09_determinism(tmp_path):
 
     objectives = {
         f"sim-{i}": gp.Realization(
-            kind="unconditional", grid=np.linspace(0, 1, 32),
+            grid=np.linspace(0, 1, 32),
             values=np.sin(np.linspace(0, 1, 32) * (3 + i)), seed=i)
         for i in range(2)
     }
     pipelines = [("RandomSearch", "RandomSearch", {}),
                  ("DifferentialEvolution", "DifferentialEvolution", {})]
     kw = dict(budget=12, checkpoints=(6, 12), reps=3, master_seed=4)
-    serial = run_campaign(pipelines, objectives, np.array([[0.0, 1.0]]), workers=1, **kw)
-    parallel = run_campaign(pipelines, objectives, np.array([[0.0, 1.0]]), workers=4, **kw)
+    serial = run_campaign(pipelines, objectives, (0.0, 1.0), workers=1, **kw)
+    parallel = run_campaign(pipelines, objectives, (0.0, 1.0), workers=4, **kw)
     schedule_free = all(
         (a.pipeline, a.instance, a.budget, a.best_y, a.memory_bytes)
         == (b.pipeline, b.instance, b.budget, b.best_y, b.memory_bytes)
@@ -260,25 +259,25 @@ def test_09_determinism(tmp_path):
 
 
 def test_10_optimizer_oracles():
-    quad = OptProblem(objective=lambda x: (x[0] - 0.3) ** 2,
-                      bounds=[[0.0, 1.0]], budget=60)
+    quad = OptProblem(objective=lambda x: (x - 0.3) ** 2,
+                      bounds=(0.0, 1.0), budget=60)
     hc = hill_climber(quad, 0)
-    hc_ok = abs(hc.best_x[0] - 0.3) < 1e-3
+    hc_ok = abs(hc.best_x - 0.3) < 1e-3
 
     sphere = lambda x: float(np.sum(x * x))
     de_hits = sum(
         differential_evolution(
-            OptProblem(objective=sphere, bounds=[[-1.0, 1.0]], budget=60), s
+            OptProblem(objective=sphere, bounds=(-1.0, 1.0), budget=60), s
         ).best_y < 0.05
         for s in range(50)
     )
     rs_hits = sum(
         random_search(
-            OptProblem(objective=sphere, bounds=[[-1.0, 1.0]], budget=100), s
+            OptProblem(objective=sphere, bounds=(-1.0, 1.0), budget=100), s
         ).best_y < 0.01
         for s in range(100)
     )
     ok = hc_ok and de_hits >= 45 and rs_hits >= 95
     verdict(10, ok,
-            f"hill climber |x-0.3| = {abs(hc.best_x[0] - 0.3):.1e}, "
+            f"hill climber |x-0.3| = {abs(hc.best_x - 0.3):.1e}, "
             f"DE sphere hits {de_hits}/50, random search hits {rs_hits}/100")

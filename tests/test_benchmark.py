@@ -6,20 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogopt import benchmark as bm
-from cogopt import gp
+from cogopt import gp, optimizers
 from cogopt.errors import (
+    ConfigError,
     DegenerateInput,
     DuplicatePipelineInGroup,
     InstanceSetTooSmall,
 )
 from cogopt.knowledge import ParameterSpec
+from cogopt.rating import RatingWeights, rate_pipelines
 
-BOUNDS = np.array([[0.0, 1.0]])
+BOUNDS = (0.0, 1.0)
 
 
 def make_dataset():
-    X = np.linspace(0, 1, 12).reshape(-1, 1)
-    y = np.sin(2 * np.pi * X.ravel()) + 0.3 * X.ravel()
+    X = np.linspace(0, 1, 12)
+    y = np.sin(2 * np.pi * X) + 0.3 * X
     return gp.Dataset(X=X, y=y, bounds=BOUNDS)
 
 
@@ -36,21 +38,22 @@ class TestGenerateTestFunctions:
     def test_deterministic(self):
         a = bm.generate_test_functions(make_dataset(), 3, master_seed=5)
         b = bm.generate_test_functions(make_dataset(), 3, master_seed=5)
-        for ra, rb in zip(a.instances, b.instances):
+        for ra, rb in zip(a, b):
             assert np.array_equal(ra.values, rb.values)
 
     def test_instances_equal_single_draws(self):
         S = bm.generate_test_functions(make_dataset(), 3, master_seed=2)
+        model = gp.fit(make_dataset(), noise=True)
         grid = gp.default_grid(BOUNDS)
-        for i, inst in enumerate(S.instances):
-            one = gp.simulate_unconditional(S.source_model, grid, seed=bm.derive_seed(2, i))
+        for i, inst in enumerate(S):
+            one = gp.simulate_unconditional(model, grid, seed=bm.derive_seed(2, i))
             assert np.array_equal(inst.values, one.values) and inst.seed == one.seed
 
     def test_instances_differ_pairwise(self):
         S = bm.generate_test_functions(make_dataset(), 5, master_seed=1)
         for i in range(5):
             for j in range(i + 1, 5):
-                diff = np.max(np.abs(S.instances[i].values - S.instances[j].values))
+                diff = np.max(np.abs(S[i].values - S[j].values))
                 assert diff > 0
 
 
@@ -207,12 +210,16 @@ class TestCampaign:
 
     def objectives(self):
         S = bm.generate_test_functions(make_dataset(), 2, master_seed=3)
-        return {"sim-0": S.instances[0], "sim-1": S.instances[1]}
+        return {"sim-0": S[0], "sim-1": S[1]}
 
     def test_record_count(self):
         records = bm.run_campaign(self.PIPELINES, self.objectives(), BOUNDS,
                                   budget=12, checkpoints=(6, 12), reps=2)
         assert len(records) == 2 * 2 * 2  # pipelines x instances x checkpoints
+
+    def test_zero_reps_is_refused(self):
+        with pytest.raises(ConfigError):
+            bm.run_campaign(self.PIPELINES, self.objectives(), BOUNDS, budget=12, reps=0)
 
     def test_serial_parallel_equivalence(self):
         kw = dict(budget=12, checkpoints=(6, 12), reps=3, master_seed=9)
@@ -227,6 +234,23 @@ class TestCampaign:
     def test_seed_derivation_is_stable(self):
         assert bm.derive_seed(0, 1, 2) == bm.derive_seed(0, 1, 2)
         assert bm.derive_seed(0, 1, 2) != bm.derive_seed(0, 2, 1)
+
+    @settings(max_examples=10, deadline=None)
+    @given(c=st.floats(-1e6, 1e6), lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3))
+    def test_constant_objective_ties_every_pipeline(self, c, lo, width):
+        # a flat landscape: every pipeline finds c, so every rank ties and no
+        # competitor improves on the baseline
+        bounds = (lo, lo + width)
+        flat = gp.Realization(grid=np.linspace(*bounds, 8), values=np.full(8, c), seed=0)
+        pipelines = [(a, a, {}) for a in optimizers.ALGORITHMS]
+        records = bm.rank_algorithms(bm.run_campaign(
+            pipelines, {"sim-0": flat}, bounds, budget=12, checkpoints=(6, 12), reps=2))
+        assert len(records) == len(pipelines) * 2
+        assert all(r.best_y == c for r in records)
+        assert {r.rank for r in records} == {(len(pipelines) + 1) / 2}
+        table, p_best, _ = rate_pipelines(records, optimizers.BASELINE, RatingWeights())
+        assert p_best is None and table.survivors == ()
+        assert set(table.eliminated) == set(optimizers.ALGORITHMS) - {optimizers.BASELINE}
 
 
 class TestCsvRoundTrip:

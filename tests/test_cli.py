@@ -144,6 +144,15 @@ class TestBenchmark:
         for vals in per_budget.values():
             assert sum(vals) == pytest.approx(5 * 6 / 2)
 
+    def test_maximize_goal_is_refused(self, runner, tmp_path):
+        # the campaign ranks by least best_y, so it would rank a maximize goal backwards
+        cfg = write_project(tmp_path, goal={"direction": "maximize"})
+        out = tmp_path / "bench"
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "benchmark"])
+        assert res.exit_code == 2, res.output
+        assert "maximize" in res.output
+        assert not (out / "campaign.csv").exists()
+
 
 class TestReport:
     @pytest.fixture()

@@ -14,7 +14,7 @@ from cogopt.cognition import (
     run_selection_cycle,
     step,
 )
-from cogopt.errors import SchemaError
+from cogopt.errors import ConfigError, SchemaError, SingularCovariance, UnknownGoal
 from cogopt.knowledge import GoalSpec, default_kb
 from cogopt.plant import PlantAdapter, ProductionCycleRecord, VpsSimulator
 
@@ -70,26 +70,26 @@ class TestConfig:
 
 class TestInitialDesign:
     def test_equidistant_grid(self):
-        pts = create_initial_design(4, [[0.0, 3.0]])
-        assert np.allclose(pts.ravel(), [0.0, 1.0, 2.0, 3.0])
+        pts = create_initial_design(4, (0.0, 3.0))
+        assert np.allclose(pts, [0.0, 1.0, 2.0, 3.0])
 
     def test_two_points_are_the_endpoints(self):
-        pts = create_initial_design(2, [[0.0, 1.0]])
-        assert np.allclose(pts.ravel(), [0.0, 1.0])
+        pts = create_initial_design(2, (0.0, 1.0))
+        assert np.allclose(pts, [0.0, 1.0])
 
     def test_twelve_distinct_settings(self):
-        pts = create_initial_design(12, [[500.0, 7000.0]])
-        assert pts.shape == (12, 1)
+        pts = create_initial_design(12, (500.0, 7000.0))
+        assert pts.shape == (12,)
         assert len(np.unique(pts)) == 12
 
     def test_lhs_design(self):
-        pts = create_initial_design(8, [[0.0, 1.0]], kind="lhs", seed=1)
-        strata = np.floor(pts.ravel() * 8).astype(int)
+        pts = create_initial_design(8, (0.0, 1.0), kind="lhs", seed=1)
+        strata = np.floor(pts * 8).astype(int)
         assert sorted(strata) == list(range(8))
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
-            create_initial_design(4, [[0.0, 1.0]], kind="sobol")
+            create_initial_design(4, (0.0, 1.0), kind="sobol")
 
 
 class TestBootstrap:
@@ -136,7 +136,7 @@ class TestGetBestX:
         data = cognition._dataset(state, plant.bounds)
         model = gp.fit(data, noise=True)
         mid = 0.5 * (lo + hi)
-        assert gp.predict(model, np.array([[x]]))[0][0] <= gp.predict(model, np.array([[mid]]))[0][0] + 1e-9
+        assert gp.predict(model, x)[0][0] <= gp.predict(model, mid)[0][0] + 1e-9
 
 
 class TestControlFlow:
@@ -156,7 +156,7 @@ class TestControlFlow:
 
         it = iter(proposals)
 
-        def fake_best_x(p_best, state, config, bounds):
+        def fake_best_x(p_best, state, config, bounds, sign):
             return next(it, state.x)
 
         monkeypatch.setattr(cognition, "run_selection_cycle", fake_selection)
@@ -262,3 +262,54 @@ def test_programming_error_in_an_optimizer_propagates(monkeypatch):
     state = bootstrap(CognitionState(), plant, cfg)
     with pytest.raises(TypeError, match="unexpected argument"):
         step(state, plant, default_kb(), cfg, GOAL)
+
+
+@pytest.mark.parametrize("direction", ["minimize", "maximize"])
+def test_the_loop_moves_the_setting_in_the_goal_direction(direction):
+    # a noise-free plant whose history ends at the goal's worst setting
+    plant = VpsSimulator(noise_sd=0.0, seed=3)
+    grid = np.linspace(*plant.bounds, 2001)
+    truth = np.array([plant.ground_truth(x) for x in grid])
+    worst = grid[np.argmin(truth) if direction == "maximize" else np.argmax(truth)]
+    for x in np.linspace(*plant.bounds, 6):
+        plant.apply(x)
+    plant.apply(worst)
+    cfg = CognitionConfig(s=6, theta=3, k_instances=3, tuning_budget=2,
+                          bench_budget=12, reps=2, master_seed=0)
+    state = bootstrap(CognitionState(), plant, cfg, historical=plant.receive_new_data(0))
+    goal = GoalSpec("Optimization", ("f1", "f2", "f3"), "mean", direction)
+    kb = default_kb()
+    for _ in range(2):
+        state, kb = step(state, plant, kb, cfg, goal)
+    # the applied setting lies in the goal's best quarter of the truth's range
+    quarter = 0.25 * (truth.max() - truth.min())
+    if direction == "maximize":
+        assert plant.ground_truth(state.x) >= truth.max() - quarter
+    else:
+        assert plant.ground_truth(state.x) <= truth.min() + quarter
+
+
+def test_a_goal_path_the_kb_lacks_leaves_the_loop():
+    plant = ScriptedPlant([1.0])
+    state = CognitionState(d=[record(0.2, 1.0, 0), record(0.8, 2.0, 1)], x=0.8)
+    goal = GoalSpec("Optimization", ("f1",), "max", "minimize")
+    with pytest.raises(UnknownGoal, match="max"):
+        step(state, plant, default_kb(), CognitionConfig(), goal)
+
+
+@pytest.mark.parametrize("error, leaves", [(ConfigError, True), (UnknownGoal, True),
+                                           (SingularCovariance, False)])
+def test_configuration_errors_leave_the_loop_and_run_time_failures_do_not(
+        monkeypatch, error, leaves):
+    def failing_selection(state, kb, config, goal, bounds):
+        raise error("from the selection cycle")
+
+    monkeypatch.setattr(cognition, "run_selection_cycle", failing_selection)
+    plant = ScriptedPlant([1.0])
+    state = CognitionState(d=[record(0.5, 1.0, 0)], x=0.5)
+    if leaves:
+        with pytest.raises(error):
+            step(state, plant, default_kb(), CognitionConfig(), GOAL)
+    else:
+        state, _ = step(state, plant, default_kb(), CognitionConfig(), GOAL)
+        assert state.log_entries[-1]["selection_ran"] is False

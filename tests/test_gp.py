@@ -7,13 +7,13 @@ from scipy.linalg import solve_triangular
 from cogopt import gp
 from cogopt.errors import SchemaError, SingularCovariance
 
-BOUNDS = [[0.0, 1.0]]
+BOUNDS = (0.0, 1.0)
 
 
 def make_dataset(n=12, seed=0, noise=0.0):
     rng = np.random.default_rng(seed)
-    X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
-    y = np.sin(2.0 * np.pi * X.ravel()) + 0.5 * X.ravel()
+    X = np.linspace(0.0, 1.0, n)
+    y = np.sin(2.0 * np.pi * X) + 0.5 * X
     if noise > 0:
         y = y + noise * rng.standard_normal(n)
     return gp.Dataset(X=X, y=y, bounds=BOUNDS)
@@ -22,27 +22,27 @@ def make_dataset(n=12, seed=0, noise=0.0):
 class TestDataset:
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
-            gp.Dataset(X=[[0.1], [0.2]], y=[1.0], bounds=BOUNDS)
+            gp.Dataset(X=[0.1, 0.2], y=[1.0], bounds=BOUNDS)
 
     def test_too_few_points(self):
         with pytest.raises(SchemaError):
-            gp.Dataset(X=[[0.1]], y=[1.0], bounds=BOUNDS)
+            gp.Dataset(X=[0.1], y=[1.0], bounds=BOUNDS)
 
     def test_points_outside_bounds(self):
         with pytest.raises(SchemaError):
-            gp.Dataset(X=[[0.1], [1.5]], y=[1.0, 2.0], bounds=BOUNDS)
+            gp.Dataset(X=[0.1, 1.5], y=[1.0, 2.0], bounds=BOUNDS)
 
     def test_one_row_of_inputs_is_not_transposed(self):
-        # one 3-d point with three responses, not three 1-d points
+        # a 2-d X is refused, not read as three settings with three responses
         with pytest.raises(SchemaError):
             gp.Dataset(X=[[0.1, 0.2, 0.3]], y=[1.0, 2.0, 3.0], bounds=BOUNDS)
 
 
 class TestFit:
     def test_constant_y_degenerates_to_constant_predictions(self):
-        ds = gp.Dataset(X=np.linspace(0, 1, 8).reshape(-1, 1), y=np.full(8, 3.0), bounds=BOUNDS)
+        ds = gp.Dataset(X=np.linspace(0, 1, 8), y=np.full(8, 3.0), bounds=BOUNDS)
         model = gp.fit(ds)
-        mean, var = gp.predict(model, np.linspace(0, 1, 50).reshape(-1, 1))
+        mean, var = gp.predict(model, np.linspace(0, 1, 50))
         assert np.allclose(mean, 3.0, atol=1e-4)
         assert np.all(var <= model.signal_var + model.nugget + 1e-12)
 
@@ -50,7 +50,7 @@ class TestFit:
         # generate-and-recover: sample a known SE process, refit, compare scales
         true_ls = 0.2
         rng = np.random.default_rng(7)
-        X = np.sort(rng.uniform(0, 1, 50)).reshape(-1, 1)
+        X = np.sort(rng.uniform(0, 1, 50))
         K = gp.kernel(X, X, true_ls, 1.0) + 1e-10 * np.eye(50)
         y = np.linalg.cholesky(K) @ rng.standard_normal(50)
         model = gp.fit(gp.Dataset(X=X, y=y, bounds=BOUNDS))
@@ -94,18 +94,18 @@ def degenerate_datasets(draw):
     else:
         y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
     X = lo + width * np.array([sites[i] for i in idx])
-    return gp.Dataset(X=X.reshape(-1, 1), y=y, bounds=[[lo, lo + width]])
+    return gp.Dataset(X=X, y=y, bounds=(lo, lo + width))
 
 
 def grid_loglik(data: gp.Dataset, noise: bool) -> float:
     """Best log likelihood over a 32 x 32 (x 8) log grid of lengthscale,
     signal variance (and noise ratio), with K = sv * (R + max(nr, 1e-10) I)
     and the GLS mean: the earlier grid search's search space."""
-    width = float(np.mean(data.bounds[:, 1] - data.bounds[:, 0]))
+    width = data.bounds[1] - data.bounds[0]
     vy = max(float(np.var(data.y)), 1e-12)
     sv = np.geomspace(1e-4 * vy, 4.0 * vy, 32)
     n, y = data.n, data.y
-    D2 = (data.X - data.X.T) ** 2
+    D2 = np.subtract.outer(data.X, data.X) ** 2
     best = -np.inf
     for ls in np.geomspace(1e-3 * width, 2.0 * width, 32):
         for nr in (np.geomspace(1e-6, 1.0, 8) if noise else [0.0]):
@@ -195,9 +195,9 @@ class TestOneMatrixFactorization:
            nr=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]))
     def test_score_matches_the_scalar_arithmetic(self, data, frac, nr):
         n, y = data.n, data.y
-        ls = frac * float(data.bounds[0, 1] - data.bounds[0, 0])
+        ls = frac * (data.bounds[1] - data.bounds[0])
         vy = max(float(np.var(y)), 1e-12)
-        D2 = (data.X - data.X.T) ** 2
+        D2 = np.subtract.outer(data.X, data.X) ** 2
         try:
             L = gp._chol(np.exp(-D2 / (2.0 * ls ** 2)), nr)
         except SingularCovariance:
@@ -243,31 +243,31 @@ class TestPredict:
 
     def test_prior_reversion_far_from_data(self):
         # data concentrated near 0, query at >= 10 lengthscales away
-        X = np.linspace(0.0, 0.05, 6).reshape(-1, 1)
+        X = np.linspace(0.0, 0.05, 6)
         y = np.array([0.0, 0.2, 0.1, 0.3, 0.2, 0.1])
         model = gp.fit(gp.Dataset(X=X, y=y, bounds=BOUNDS))
         far = min(1.0, 0.05 + 12 * model.lengthscale)
-        mean, var = gp.predict(model, np.array([[far]]))
+        mean, var = gp.predict(model, far)
         assert mean[0] == pytest.approx(model.mean, abs=0.05 * max(1.0, abs(model.mean)))
         assert var[0] == pytest.approx(model.signal_var, rel=0.05)
 
     def test_variance_bounds(self):
         ds = make_dataset(noise=0.05)
         model = gp.fit(ds, noise=True)
-        _, var = gp.predict(model, np.linspace(0, 1, 200).reshape(-1, 1))
+        _, var = gp.predict(model, np.linspace(0, 1, 200))
         assert np.all(var >= 0.0)
         assert np.all(var <= model.signal_var + model.nugget + 1e-9)
 
     def test_mean_between_equal_observations_not_above_them(self):
-        X = np.array([[0.4], [0.6]])
+        X = np.array([0.4, 0.6])
         y = np.array([1.0, 1.0])
         model = gp.fit(gp.Dataset(X=X, y=y, bounds=BOUNDS))
-        grid = np.linspace(0.4, 0.6, 101).reshape(-1, 1)
+        grid = np.linspace(0.4, 0.6, 101)
         mean, _ = gp.predict(model, grid)
         assert np.all(mean <= 1.0 + 1e-6)
 
     def test_points_with_the_wrong_column_count_are_refused(self):
-        # a (1, k) array of 1-d points would otherwise broadcast to k columns
+        # a (1, k) array is refused, not read as k settings
         model = gp.fit(make_dataset())
         with pytest.raises(SchemaError):
             gp.predict(model, np.linspace(0, 1, 5).reshape(1, -1))
@@ -299,15 +299,14 @@ class TestUnconditional:
         emp = np.cov(draws.T, bias=True) + np.outer(
             draws.mean(axis=0) - model.mean, draws.mean(axis=0) - model.mean
         )
-        want = gp.kernel(grid.reshape(-1, 1), grid.reshape(-1, 1),
-                         model.lengthscale, model.signal_var)
+        want = gp.kernel(grid, grid, model.lengthscale, model.signal_var)
         mask = want >= 0.1 * model.signal_var
         rel = np.abs(emp[mask] - want[mask]) / want[mask]
         assert np.max(rel) < 0.15
 
     def test_zero_variance_limit(self):
         # near-constant data drives the fitted signal variance to the floor
-        ds = gp.Dataset(X=np.linspace(0, 1, 8).reshape(-1, 1), y=np.full(8, 2.0), bounds=BOUNDS)
+        ds = gp.Dataset(X=np.linspace(0, 1, 8), y=np.full(8, 2.0), bounds=BOUNDS)
         model = gp.fit(ds)
         r = gp.simulate_unconditional(model, gp.default_grid(BOUNDS, 64), seed=0)
         assert np.max(np.abs(r.values - model.mean)) <= 1e-4
@@ -321,7 +320,7 @@ class TestConditional:
         tol = 1e-3 * (ds.y.max() - ds.y.min())
         for seed in (0, 5, 11):
             r = gp.simulate_conditional(model, grid, seed=seed)
-            vals = np.array([r(x) for x in ds.X.ravel()])
+            vals = np.array([r(x) for x in ds.X])
             assert np.max(np.abs(vals - ds.y)) <= tol
 
     def test_seeds_agree_at_data_and_differ_between(self):
@@ -331,7 +330,7 @@ class TestConditional:
         grid = gp.default_grid(BOUNDS, 128)
         a = gp.simulate_conditional(model, grid, seed=1)
         b = gp.simulate_conditional(model, grid, seed=2)
-        at_data = np.abs(np.array([a(x) - b(x) for x in ds.X.ravel()]))
+        at_data = np.abs(np.array([a(x) - b(x) for x in ds.X]))
         assert np.max(at_data) <= 1e-6 * max(1.0, np.ptp(ds.y))
         assert np.max(np.abs(a.values - b.values)) > 1e-3
 
@@ -347,10 +346,10 @@ class TestConditional:
         except SingularCovariance:
             return
         assert np.all(np.isfinite(r.values))
-        sites = np.unique(data.X.ravel())
+        sites = np.unique(data.X)
         idx = np.searchsorted(r.grid, sites)
         assert np.array_equal(r.grid[idx], sites)
-        mean, _ = gp.predict(model, sites.reshape(-1, 1))
+        mean, _ = gp.predict(model, sites)
         scale = np.sqrt(model.signal_var) + np.max(np.abs(data.y))
         assert np.max(np.abs(r.values[idx] - mean)) <= 1e-4 * scale
 
@@ -359,12 +358,12 @@ class TestConditional:
         model = gp.fit(ds)
         grid = np.linspace(0, 1, 30)
         # align: the conditional grid is augmented with training inputs
-        full = np.unique(np.concatenate([grid, ds.X.ravel()]))
+        full = np.unique(np.concatenate([grid, ds.X]))
         draws = np.stack([
             np.interp(grid, full, gp.simulate_conditional(model, grid, seed=s).values)
             for s in range(500)
         ])
-        mu, var = gp.predict(model, grid.reshape(-1, 1))
+        mu, var = gp.predict(model, grid)
         se = np.sqrt(var / 500)
         assert np.all(np.abs(draws.mean(axis=0) - mu) <= 3 * se + 1e-9)
 
@@ -377,10 +376,9 @@ class TestRealization:
             assert r(r.grid[i]) == r.values[i]
 
     def test_linear_between_grid_points(self):
-        r = gp.Realization(kind="unconditional", grid=[0.0, 1.0], values=[0.0, 2.0], seed=0)
+        r = gp.Realization(grid=[0.0, 1.0], values=[0.0, 2.0], seed=0)
         assert r(0.25) == pytest.approx(0.5)
 
     def test_grid_must_increase(self):
         with pytest.raises(SchemaError):
-            gp.Realization(kind="unconditional", grid=[0.0, 0.0, 1.0],
-                           values=[1.0, 2.0, 3.0], seed=0)
+            gp.Realization(grid=[0.0, 0.0, 1.0], values=[1.0, 2.0, 3.0], seed=0)

@@ -12,8 +12,8 @@ import cogopt
 from cogopt import optimizers as opt
 from cogopt.errors import ConfigError, SingularCovariance
 
-UNIT = [[0.0, 1.0]]
-SYM = [[-1.0, 1.0]]
+UNIT = (0.0, 1.0)
+SYM = (-1.0, 1.0)
 
 
 def sphere(x):
@@ -29,29 +29,29 @@ class TestMeteredObjective:
         p = problem(sphere, UNIT, 3)
         f = opt.MeteredObjective(p)
         for _ in range(3):
-            f(np.array([0.5]))
+            f(0.5)
         with pytest.raises(opt.BudgetExhausted):
-            f(np.array([0.5]))
+            f(0.5)
 
     def test_bounds_enforced(self):
         f = opt.MeteredObjective(problem(sphere, UNIT, 5))
         with pytest.raises(opt.OutOfBounds):
-            f(np.array([1.5]))
+            f(1.5)
 
     def test_trace_is_best_so_far(self):
         f = opt.MeteredObjective(problem(sphere, SYM, 5))
         for x in (0.9, -0.5, 0.7, 0.1):
-            f(np.array([x]))
+            f(x)
         assert f.trace == [pytest.approx(v) for v in (0.81, 0.25, 0.25, 0.01)]
 
 
 class TestRandomSearch:
     def test_single_sample_matches_seed(self):
         seed = 123
-        res = opt.random_search(problem(lambda x: float(x[0]), UNIT, 1), seed)
+        res = opt.random_search(problem(lambda x: x, UNIT, 1), seed)
         rng = np.random.default_rng(seed)
-        expected = rng.uniform(np.array([0.0]), np.array([1.0]))
-        assert res.best_y == pytest.approx(float(expected[0]))
+        expected = rng.uniform(0.0, 1.0)
+        assert res.best_y == pytest.approx(expected)
 
     def test_exhausts_budget(self):
         res = opt.random_search(problem(sphere, UNIT, 17), 0)
@@ -73,25 +73,25 @@ class TestRandomSearch:
 
 class TestHillClimber:
     def test_quadratic_optimum(self):
-        res = opt.hill_climber(problem(lambda x: (x[0] - 0.3) ** 2, UNIT, 60), 0)
-        assert abs(res.best_x[0] - 0.3) < 1e-3
+        res = opt.hill_climber(problem(lambda x: (x - 0.3) ** 2, UNIT, 60), 0)
+        assert abs(res.best_x - 0.3) < 1e-3
 
     def test_start_at_optimum_converges_immediately(self):
         calls = []
 
         def f(x):
-            calls.append(x[0])
-            return (x[0] - 0.3) ** 2
+            calls.append(x)
+            return (x - 0.3) ** 2
 
-        opt.hill_climber(problem(f, UNIT, 60), 0, x0=np.array([0.3]))
+        opt.hill_climber(problem(f, UNIT, 60), 0, x0=0.3)
         # first inner loop: one evaluation plus one gradient stencil, then restart
         assert calls[0] == pytest.approx(0.3)
         restarts = [i for i, x in enumerate(calls) if abs(x - 0.3) > 1e-3]
         assert restarts and restarts[0] <= 3
 
     def test_boundary_optimum(self):
-        res = opt.hill_climber(problem(lambda x: float(x[0]), UNIT, 60), 2)
-        assert res.best_x[0] <= 1e-6
+        res = opt.hill_climber(problem(lambda x: x, UNIT, 60), 2)
+        assert res.best_x <= 1e-6
 
     def test_invalid_lmm(self):
         with pytest.raises(ConfigError):
@@ -115,8 +115,8 @@ class TestGeneralizedSA:
 
     def test_bimodal_global_basin(self):
         def f(x):
-            return float(-np.exp(-((x[0] - 0.2) / 0.05) ** 2)
-                         - 2.0 * np.exp(-((x[0] - 0.8) / 0.05) ** 2))
+            return float(-np.exp(-((x - 0.2) / 0.05) ** 2)
+                         - 2.0 * np.exp(-((x - 0.8) / 0.05) ** 2))
 
         found = sum(
             opt.generalized_sa(problem(f, UNIT, 200), s).best_y < -1.5
@@ -131,13 +131,12 @@ class TestGeneralizedSA:
             opt.generalized_sa(problem(sphere, UNIT, 10), 0, temp=-1.0)
 
     def test_reflection_stays_in_bounds(self):
-        lo = np.array([0.0])
-        hi = np.array([1.0])
+        lo, hi = 0.0, 1.0
         rng = np.random.default_rng(3)
         for _ in range(200):
-            x = rng.uniform(-50, 50, 1)
+            x = rng.uniform(-50, 50)
             z = opt._reflect(x, lo, hi)
-            assert np.all(z >= lo) and np.all(z <= hi)
+            assert lo <= z <= hi
 
 
 class TestDifferentialEvolution:
@@ -178,7 +177,7 @@ class TestKrigingSBO:
 
     def test_lhs_one_point_per_stratum(self):
         rng = np.random.default_rng(4)
-        pts = opt.latin_hypercube(rng, np.array(UNIT), 7).ravel()
+        pts = opt.latin_hypercube(rng, UNIT, 7)
         strata = np.floor(pts * 7).astype(int)
         assert sorted(strata) == list(range(7))
 
@@ -197,7 +196,7 @@ class TestKrigingSBO:
 
     def test_beats_random_search_on_smooth_objective(self):
         def f(x):
-            return float(np.sin(3 * x[0]) + 0.5 * x[0] ** 2)
+            return float(np.sin(3 * x) + 0.5 * x ** 2)
 
         k = np.mean([opt.kriging_sbo(problem(f, SYM, 25), s).best_y for s in range(5)])
         r = np.mean([opt.random_search(problem(f, SYM, 25), s).best_y for s in range(5)])
@@ -225,13 +224,13 @@ class TestKrigingSBO:
         seen = []
 
         def f(x):
-            seen.append(x.copy())
+            seen.append(x)
             return sphere(x)
 
         res = opt.kriging_sbo(problem(f, SYM, 12), 3, designSize=7)
-        rng, bounds = np.random.default_rng(3), np.array(SYM, dtype=float)
-        want = list(opt.latin_hypercube(rng, bounds, 7))
-        want += [rng.uniform(bounds[:, 0], bounds[:, 1]) for _ in range(5)]
+        rng = np.random.default_rng(3)
+        want = list(opt.latin_hypercube(rng, SYM, 7))
+        want += [rng.uniform(*SYM) for _ in range(5)]
         assert np.array_equal(np.array(seen), np.array(want))
         assert res.evals_used == 12 and np.all(np.diff(res.trace) <= 0)
 
@@ -262,7 +261,7 @@ def test_bit_identical_reruns(algo):
 
 
 def test_maximization_by_negation():
-    f = lambda x: float(np.sin(4 * x[0]))
+    f = lambda x: float(np.sin(4 * x))
     res_min = opt.random_search(problem(lambda x: -f(x), UNIT, 50), 11)
     res_plain = opt.random_search(problem(f, UNIT, 50), 11)
     # same seed evaluates the same points; the negated run's best maximizes f

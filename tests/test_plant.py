@@ -100,18 +100,9 @@ class TestGroundTruth:
         diff = max(abs(a.ground_truth(x) - b.ground_truth(x)) for x in xs)
         assert diff > 0
 
-    def test_new_batch_reseeds_curves_but_keeps_history(self):
-        p = VpsSimulator(noise_sd=0.0, seed=9)
-        p.apply(4000.0)
-        before = p.ground_truth(4000.0)
-        p.new_batch()
-        after = p.ground_truth(4000.0)
-        assert before != after
-        assert len(p.records) == 1
-
-    def test_objective_callable_accepts_arrays(self, plant):
+    def test_objective_callable_is_the_ground_truth(self, plant):
         f = plant.ground_truth_objective()
-        assert f(np.array([3000.0])) == pytest.approx(plant.ground_truth(3000.0))
+        assert f(3000.0) == pytest.approx(plant.ground_truth(3000.0))
 
     def test_curves_interpolate_seed_data_roughly(self, plant):
         # ground truth comes from conditional simulation over the seed data,
