@@ -136,7 +136,10 @@ def _overlay(obj, doc, prefix: str = ""):
             changes[key] = _overlay(old, value, f"{prefix}{key}.")
         else:
             changes[key] = _check(hints[key], value, prefix + key)
-    return dataclasses.replace(obj, **changes)
+    try:
+        return dataclasses.replace(obj, **changes)
+    except SchemaError as exc:  # a field's own check, "field: reason"
+        raise SchemaError(f"{prefix}{exc}") from exc
 
 
 def override(cfg: RunConfig, doc) -> RunConfig:

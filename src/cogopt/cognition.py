@@ -54,14 +54,19 @@ class CognitionConfig:
     resources: ResourceBudget = field(default_factory=ResourceBudget)
 
     def __post_init__(self):
+        # each message starts with its field, so the config loader can prefix the section
         if self.s < 2:
-            raise SchemaError("initial design size s must be >= 2")
+            raise SchemaError("s: the initial design size must be >= 2")
         if self.theta < 2:
-            raise SchemaError("selection step size theta must be >= 2")
+            raise SchemaError("theta: the selection step size must be >= 2")
         if self.epsilon is not None and self.epsilon < 0:
-            raise SchemaError("epsilon must be >= 0")
+            raise SchemaError("epsilon: must be >= 0")
         if self.k_instances < 2:
-            raise SchemaError("k_instances must be >= 2")
+            raise SchemaError("k_instances: must be >= 2")
+        if self.reps < 1:
+            raise SchemaError("reps: must be >= 1")
+        if self.design_reps < 1:
+            raise SchemaError("design_reps: must be >= 1")
 
     def resolved_epsilon(self, bounds) -> float:
         if self.epsilon is not None:

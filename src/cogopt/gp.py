@@ -3,11 +3,14 @@
 A single squared-exponential kernel with constant mean is used throughout.
 The signal variance and the mean are solved in closed form; the lengthscale
 comes from a deterministic log-space grid search refined by a local pattern
-search, so fitting the same data always yields the same model.  Every
-matrix the module factors is a correlation matrix R plus a nugget on its
-diagonal, max(noise ratio, 1e-10) (Ranjan, Haynes & Karsten 2011), factored
-once by LAPACK's `dpotrf` in `_chol`; the 1e-10 floor keeps the near-singular
-R of clustered data positive definite, so roundoff never picks the model.
+search, so fitting the same data always yields the same model.  The grid is
+scored in one pass: one `np.exp` builds every candidate's correlation matrix,
+each is still factored on its own, and the winner is re-scored by `_score`,
+so the pass picks the model a loop over `_score` would.  Every matrix the
+module factors is a correlation matrix R plus a nugget on its diagonal,
+max(noise ratio, 1e-10) (Ranjan, Haynes & Karsten 2011), factored once by
+LAPACK's `dpotrf` in `_factor`; the 1e-10 floor keeps the near-singular R of
+clustered data positive definite, so roundoff never picks the model.
 Unconditional draws multiply the Cholesky factor of the grid's prior by
 standard normals; conditional draws use conditioning by kriging and therefore
 reproduce the training observations up to the nugget.
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import SchemaError, SingularCovariance
@@ -113,7 +116,12 @@ def _chol(R: np.ndarray, nr: float = 0.0) -> np.ndarray:
     The nugget is added to R's diagonal in place.
     """
     R.flat[::len(R) + 1] += max(nr, _NUGGET_FLOOR)
-    L, info = dpotrf(R, lower=1, clean=1)
+    return _factor(R)
+
+
+def _factor(A: np.ndarray) -> np.ndarray:
+    """Lower (Fortran-ordered) Cholesky factor of A, or `SingularCovariance`."""
+    L, info = dpotrf(A, lower=1, clean=1)
     if info != 0:
         raise SingularCovariance(f"covariance not positive definite (dpotrf info {info})")
     return L
@@ -142,18 +150,51 @@ def _score(D2: np.ndarray, y: np.ndarray, ls: float, nr: float,
     return ll, sv, mean, L
 
 
+def _score_grid(D2: np.ndarray, y: np.ndarray, ls_grid: np.ndarray, noise_grid: np.ndarray,
+                sv_range: tuple[float, float]) -> np.ndarray:
+    """`_score`'s log likelihood of every (lengthscale, noise ratio) pair, lengthscale-major.
+
+    One `np.exp` builds all the correlation matrices.  Each is factored and
+    solved on its own with `_score`'s LAPACK calls, and the closed-form terms
+    are computed for all candidates at once in `_score`'s order of operations,
+    so entry c equals `_score(...)[0]` of candidate c bit for bit.  Raises
+    `SingularCovariance` at the first candidate that does not factor.
+    """
+    n = y.size
+    # `2.0 * ls ** 2` per float64 scalar: squaring the array can differ in the last bit
+    div = np.array([2.0 * ls ** 2 for ls in ls_grid])
+    R = np.repeat(np.exp(-D2 / div[:, None, None]), noise_grid.size, axis=0)
+    # each candidate's nugget on its diagonal, as `_chol` adds it
+    R.reshape(len(R), -1)[:, ::n + 1] += np.tile(np.maximum(noise_grid, _NUGGET_FLOOR),
+                                                 ls_grid.size)[:, None]
+    ones = np.ones(n)
+    Li_y, Li_1, diag = (np.empty((len(R), n)) for _ in range(3))
+    for c in range(len(R)):
+        L = _factor(R[c])
+        Li_y[c] = dtrtrs(L, y, lower=1)[0]
+        Li_1[c] = dtrtrs(L, ones, lower=1)[0]
+        diag[c] = L.diagonal()
+    # np.vecdot, unlike einsum, sums each pair as `a @ b` does
+    mean = np.vecdot(Li_1, Li_y) / np.vecdot(Li_1, Li_1)
+    r = Li_y - mean[:, None] * Li_1
+    quad = np.vecdot(r, r)
+    sv = np.minimum(np.maximum(quad / n, sv_range[0]), sv_range[1])
+    return -0.5 * (n * np.log(2.0 * np.pi * sv) + 2.0 * np.log(diag).sum(axis=1) + quad / sv)
+
+
 def fit(data: Dataset, noise: bool = False) -> GPModel:
     """Deterministic maximum-marginal-likelihood fit of the SE kernel.
 
     The signal variance and the mean are solved in closed form for each
     correlation matrix (see `_score`), so only the lengthscale is searched:
     a 32-point log grid (times an 8-point noise-ratio grid when `noise` is
-    set), where the first strict maximum wins, then one pattern-search pass
-    over the lengthscale at the winning noise ratio, trying `+step` before
-    `-step`.  Each candidate's correlation matrix is factored on its own, with
-    the nugget max(noise ratio, 1e-10) on its diagonal, so a noise-free model
-    still carries a 1e-10 * signal_var nugget.  Raises `SingularCovariance`
-    when a candidate does not factor.
+    set), scored in one pass by `_score_grid`, where the first maximum wins
+    and NaN never does; the winner is re-scored by `_score` for its factor.
+    One pattern-search pass over the lengthscale at the winning noise ratio
+    follows, trying `+step` before `-step`.  Each candidate's correlation
+    matrix is factored on its own, with the nugget max(noise ratio, 1e-10) on
+    its diagonal, so a noise-free model still carries a 1e-10 * signal_var
+    nugget.  Raises `SingularCovariance` when a candidate does not factor.
     """
     width = data.bounds[1] - data.bounds[0]
     vy = max(float(np.var(data.y)), 1e-12)
@@ -162,14 +203,14 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
     noise_grid = np.geomspace(1e-6, 1.0, 8) if noise else np.array([0.0])
 
     D2 = _sqdist(data.X, data.X)
-    best, ls, nr = (-np.inf,), float(ls_grid[0]), 0.0
-    for cand_ls in ls_grid:
-        for cand_nr in noise_grid:
-            scored = _score(D2, data.y, cand_ls, cand_nr, sv_range)
-            if scored[0] > best[0]:
-                best, ls, nr = scored, float(cand_ls), float(cand_nr)
-    if not np.isfinite(best[0]):
+    ll = _score_grid(D2, data.y, ls_grid, noise_grid, sv_range)
+    ll[np.isnan(ll)] = -np.inf  # NaN never wins
+    c = int(np.argmax(ll))      # the first maximum
+    if not np.isfinite(ll[c]):
         raise SingularCovariance("no hyperparameter setting has a finite likelihood")
+    i, j = divmod(c, noise_grid.size)
+    best = _score(D2, data.y, ls_grid[i], noise_grid[j], sv_range)
+    ls, nr = float(ls_grid[i]), float(noise_grid[j])
 
     # one compass pattern-search pass in log-lengthscale, shrinking steps
     steps = [math.log(ls_grid[1] / ls_grid[0]) / 2.0]
@@ -208,7 +249,7 @@ def predict(model: GPModel, x) -> tuple[np.ndarray, np.ndarray]:
         raise SchemaError(f"predict takes a setting or a vector of settings, got shape {x.shape}")
     Ks = kernel(x, model.data.X, model.lengthscale, model.signal_var)
     mean = model.mean + Ks @ model.alpha
-    v = solve_triangular(model.chol, Ks.T, lower=True)
+    v = dtrtrs(model.chol, Ks.T, lower=1)[0]
     var = np.maximum(model.signal_var - np.sum(v * v, axis=0), 0.0)
     return mean, var
 

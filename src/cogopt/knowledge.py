@@ -46,14 +46,15 @@ class GoalSpec:
     direction: str
 
     def __post_init__(self):
+        # each message starts with its field, so the config loader can prefix the section
         if self.overall_goal not in OVERALL_GOALS:
-            raise SchemaError(f"unknown overall goal {self.overall_goal!r}")
+            raise SchemaError(f"overall_goal: unknown goal {self.overall_goal!r}")
         if not self.signals:
-            raise SchemaError("goal needs at least one signal")
+            raise SchemaError("signals: a goal needs at least one signal")
         if self.aggregation not in AGGREGATIONS:
-            raise SchemaError(f"unknown aggregation {self.aggregation!r}")
+            raise SchemaError(f"aggregation: unknown aggregation {self.aggregation!r}")
         if self.direction not in DIRECTIONS:
-            raise SchemaError(f"unknown direction {self.direction!r}")
+            raise SchemaError(f"direction: unknown direction {self.direction!r}")
 
     @property
     def path(self) -> tuple[str, str, str]:

@@ -268,6 +268,9 @@ class TestErrors:
         ("resources", {"memory_cap": 1 << 30}, "resources.memory_cap"),
         ("cognition", {"workers": 1}, "cognition.workers"),
         ("cognition", {"sim_method": "decomposition"}, "cognition.sim_method"),
+        ("cognition", {"reps": 0}, "cognition.reps"),
+        ("cognition", {"design_reps": 0}, "cognition.design_reps"),
+        ("goal", {"direction": "sideways"}, "goal.direction"),
     ])
     def test_bad_config_value(self, runner, tmp_path, key, value, named):
         cfg = write_project(tmp_path, **{key: value})

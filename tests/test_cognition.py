@@ -61,6 +61,10 @@ class TestConfig:
             CognitionConfig(epsilon=-0.5)
         with pytest.raises(SchemaError):
             CognitionConfig(k_instances=1)
+        with pytest.raises(SchemaError, match="^reps:"):
+            CognitionConfig(reps=0)
+        with pytest.raises(SchemaError, match="^design_reps:"):
+            CognitionConfig(design_reps=0)
 
     def test_epsilon_defaults_to_one_percent_of_range(self):
         cfg = CognitionConfig()

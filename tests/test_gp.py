@@ -216,6 +216,29 @@ class TestOneMatrixFactorization:
         assert np.array_equal(scored[3], L)
 
 
+class TestScoreGrid:
+    @pytest.mark.parametrize("noise", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(data=degenerate_datasets())
+    def test_each_entry_is_the_score_of_its_candidate(self, noise, data):
+        # bit for bit, NaN included: then fit's first maximum is a loop's winner
+        width = data.bounds[1] - data.bounds[0]
+        vy = max(float(np.var(data.y)), 1e-12)
+        sv_range = (1e-4 * vy, 4.0 * vy)
+        ls_grid = np.geomspace(1e-3 * width, 2.0 * width, 32)
+        noise_grid = np.geomspace(1e-6, 1.0, 8) if noise else np.array([0.0])
+        D2 = np.subtract.outer(data.X, data.X) ** 2
+        try:
+            want = [gp._score(D2, data.y, ls, nr, sv_range)[0]
+                    for ls in ls_grid for nr in noise_grid]
+        except SingularCovariance:
+            with pytest.raises(SingularCovariance):
+                gp._score_grid(D2, data.y, ls_grid, noise_grid, sv_range)
+            return
+        got = gp._score_grid(D2, data.y, ls_grid, noise_grid, sv_range)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestFitRepeatable:
     @pytest.mark.parametrize("noise", [False, True])
     @settings(max_examples=20, deadline=None)
