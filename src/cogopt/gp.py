@@ -2,9 +2,9 @@
 
 A single squared-exponential kernel with constant mean is used throughout.
 The signal variance and the mean are solved in closed form; the lengthscale
-comes from a deterministic log-space grid search refined by a local pattern
-search, so fitting the same data always yields the same model.  The grid is
-scored in one pass: one `np.exp` builds every candidate's correlation matrix,
+comes from a deterministic log-space grid search, or from a given start
+lengthscale, refined by a local pattern search, so fitting the same data from
+the same start always yields the same model.  The grid is scored in one pass: one `np.exp` builds every candidate's correlation matrix,
 each is still factored on its own, and the winner is re-scored by `_score`,
 so the pass picks the model a loop over `_score` would.  Every matrix the
 module factors is a correlation matrix R plus a nugget on its diagonal,
@@ -182,7 +182,7 @@ def _score_grid(D2: np.ndarray, y: np.ndarray, ls_grid: np.ndarray, noise_grid: 
     return -0.5 * (n * np.log(2.0 * np.pi * sv) + 2.0 * np.log(diag).sum(axis=1) + quad / sv)
 
 
-def fit(data: Dataset, noise: bool = False) -> GPModel:
+def fit(data: Dataset, noise: bool = False, start: float | None = None) -> GPModel:
     """Deterministic maximum-marginal-likelihood fit of the SE kernel.
 
     The signal variance and the mean are solved in closed form for each
@@ -190,12 +190,19 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
     a 32-point log grid (times an 8-point noise-ratio grid when `noise` is
     set), scored in one pass by `_score_grid`, where the first maximum wins
     and NaN never does; the winner is re-scored by `_score` for its factor.
-    One pattern-search pass over the lengthscale at the winning noise ratio
-    follows, trying `+step` before `-step`.  Each candidate's correlation
-    matrix is factored on its own, with the nugget max(noise ratio, 1e-10) on
-    its diagonal, so a noise-free model still carries a 1e-10 * signal_var
-    nugget.  Raises `SingularCovariance` when a candidate does not factor.
+    A `start` lengthscale (no-noise fits only) replaces the grid: it is
+    clamped into the grid's range and scored alone, so the fit stays in the
+    likelihood mode around it.  One pattern-search pass over the lengthscale
+    at the winning noise ratio follows, trying `+step` before `-step`; the
+    same data and start always give the same model.  Each candidate's
+    correlation matrix is factored on its own, with the nugget
+    max(noise ratio, 1e-10) on its diagonal, so a noise-free model still
+    carries a 1e-10 * signal_var nugget.  Raises `SingularCovariance` when a
+    candidate does not factor.
     """
+    if start is not None and (noise or math.isnan(start)):
+        raise SchemaError(f"start lengthscale {start} refused: it must be a number, "
+                          "for a fit without noise")
     width = data.bounds[1] - data.bounds[0]
     vy = max(float(np.var(data.y)), 1e-12)
     sv_range = (1e-4 * vy, 4.0 * vy)
@@ -203,14 +210,18 @@ def fit(data: Dataset, noise: bool = False) -> GPModel:
     noise_grid = np.geomspace(1e-6, 1.0, 8) if noise else np.array([0.0])
 
     D2 = _sqdist(data.X, data.X)
-    ll = _score_grid(D2, data.y, ls_grid, noise_grid, sv_range)
-    ll[np.isnan(ll)] = -np.inf  # NaN never wins
-    c = int(np.argmax(ll))      # the first maximum
-    if not np.isfinite(ll[c]):
+    if start is None:
+        ll = _score_grid(D2, data.y, ls_grid, noise_grid, sv_range)
+        ll[np.isnan(ll)] = -np.inf  # NaN never wins
+        c = int(np.argmax(ll))      # the first maximum
+        i, j = divmod(c, noise_grid.size)
+        best = _score(D2, data.y, ls_grid[i], noise_grid[j], sv_range)
+        ls, nr = float(ls_grid[i]), float(noise_grid[j])
+    else:
+        ls, nr = float(min(max(start, ls_grid[0]), ls_grid[-1])), 0.0
+        best = _score(D2, data.y, ls, nr, sv_range)
+    if not np.isfinite(best[0]):
         raise SingularCovariance("no hyperparameter setting has a finite likelihood")
-    i, j = divmod(c, noise_grid.size)
-    best = _score(D2, data.y, ls_grid[i], noise_grid[j], sv_range)
-    ls, nr = float(ls_grid[i]), float(noise_grid[j])
 
     # one compass pattern-search pass in log-lengthscale, shrinking steps
     steps = [math.log(ls_grid[1] / ls_grid[0]) / 2.0]

@@ -405,12 +405,16 @@ def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
         X.append(x)
         f.set_state_bytes(16 * len(X))
 
+    # the last no-noise model's lengthscale starts the next no-noise fit;
+    # None (at first, and after a singular fit) scans the whole grid
+    start = None
     while f.remaining > 0:
         ds = gp.Dataset(X=np.asarray(X), y=np.asarray(y), bounds=problem.bounds)
-        model = None
         try:
-            model = gp.fit(ds, noise=False)
+            model = gp.fit(ds, start=start)
+            start = model.lengthscale
         except SingularCovariance:
+            start = None
             try:  # soft restart: re-fit with a noise term absorbing duplicates
                 model = gp.fit(ds, noise=True)
             except SingularCovariance:
@@ -426,7 +430,8 @@ def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
             mu, var = gp.predict(model, cand)
             ei = _expected_improvement(mu, var, f.best_y)
             xn = cand[int(np.argmax(ei))]
-            if np.isclose(xn, X, atol=1e-12).any():
+            # np.isclose(xn, X, atol=1e-12), without its checks for non-finite input
+            if (np.abs(xn - ds.X) <= 1e-12 + 1e-5 * np.abs(ds.X)).any():
                 xn = _uniform(rng, problem.bounds)
         yn = f(xn)
         X.append(float(xn))

@@ -256,6 +256,78 @@ class TestFitRepeatable:
         assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
 
 
+def clamped_start(data: gp.Dataset, start: float) -> float:
+    width = data.bounds[1] - data.bounds[0]
+    return min(max(start, 1e-3 * width), 2.0 * width)
+
+
+def start_lengthscales():
+    """Lengthscales from 1e-5 to 10 bound widths: below, inside and above the grid."""
+    return st.floats(-5.0, 1.0)
+
+
+class TestWarmStart:
+    @settings(max_examples=30, deadline=None)
+    @given(data=degenerate_datasets(), log_frac=start_lengthscales())
+    def test_same_data_and_start_give_equal_fields(self, data, log_frac):
+        start = 10.0 ** log_frac * (data.bounds[1] - data.bounds[0])
+        try:
+            a = gp.fit(data, start=start)
+        except SingularCovariance:
+            with pytest.raises(SingularCovariance):
+                gp.fit(data, start=start)
+            return
+        b = gp.fit(data, start=start)
+        for name in ("lengthscale", "signal_var", "nugget", "mean"):
+            assert getattr(a, name) == getattr(b, name)
+        assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=degenerate_datasets(), log_frac=start_lengthscales())
+    def test_warm_fit_is_at_least_as_likely_as_its_clamped_start(self, data, log_frac):
+        width = data.bounds[1] - data.bounds[0]
+        start = 10.0 ** log_frac * width
+        try:
+            model = gp.fit(data, start=start)
+        except SingularCovariance:
+            return
+        vy = max(float(np.var(data.y)), 1e-12)
+        sv_range = (1e-4 * vy, 4.0 * vy)
+        D2 = np.subtract.outer(data.X, data.X) ** 2
+        at_start = gp._score(D2, data.y, clamped_start(data, start), 0.0, sv_range)[0]
+        fitted = gp._score(D2, data.y, model.lengthscale, 0.0, sv_range)[0]
+        assert fitted >= at_start
+        assert 1e-3 * width <= model.lengthscale <= 2.0 * width
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=degenerate_datasets(), log_frac=st.one_of(st.floats(-12.0, -3.01),
+                                                         st.floats(0.31, 12.0)))
+    def test_start_outside_the_grid_is_clamped(self, data, log_frac):
+        start = 10.0 ** log_frac * (data.bounds[1] - data.bounds[0])
+        edge = clamped_start(data, start)
+        assert edge != start
+        try:
+            a = gp.fit(data, start=edge)
+        except SingularCovariance:
+            with pytest.raises(SingularCovariance):
+                gp.fit(data, start=start)
+            return
+        b = gp.fit(data, start=start)
+        for name in ("lengthscale", "signal_var", "nugget", "mean"):
+            assert getattr(a, name) == getattr(b, name)
+        assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=degenerate_datasets(), start=st.one_of(st.floats(1e-6, 1e6), st.just(np.nan)))
+    def test_start_with_noise_is_refused(self, data, start):
+        with pytest.raises(SchemaError):
+            gp.fit(data, noise=True, start=start)
+
+    def test_nan_start_is_refused(self):
+        with pytest.raises(SchemaError):
+            gp.fit(make_dataset(), start=float("nan"))
+
+
 class TestPredict:
     def test_interpolates_training_points(self):
         ds = make_dataset()

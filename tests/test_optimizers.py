@@ -205,7 +205,7 @@ class TestKrigingSBO:
     def test_singular_noise_free_fit_is_refitted_with_noise(self, monkeypatch):
         real_fit, calls = opt.gp.fit, []
 
-        def fit(data, noise=False):
+        def fit(data, noise=False, start=None):
             calls.append(noise)
             if not noise:
                 raise SingularCovariance("forced")
@@ -216,8 +216,30 @@ class TestKrigingSBO:
         assert calls == [False, True] * 5
         assert res.evals_used == 12 and np.all(np.diff(res.trace) <= 0)
 
+    def test_each_fit_starts_from_the_last_no_noise_model(self, monkeypatch):
+        real_fit, calls, models = opt.gp.fit, [], []
+
+        def fit(data, noise=False, start=None):
+            calls.append((noise, start))
+            if start is not None and len(calls) == 3:
+                raise SingularCovariance("forced")
+            model = real_fit(data, noise=noise, start=start)
+            models.append(model)
+            return model
+
+        monkeypatch.setattr(opt.gp, "fit", fit)
+        res = opt.kriging_sbo(problem(sphere, SYM, 14), 0, designSize=7)
+        assert res.evals_used == 14
+        # a scan, two warm fits, the second singular, then a noise refit;
+        # the next no-noise fit scans the whole grid again
+        noise, starts = zip(*calls)
+        assert noise == (False, False, False, True, False, False, False, False)
+        assert starts[0] is None and starts[4] is None
+        assert starts[1] == models[0].lengthscale and starts[2] == models[1].lengthscale
+        assert starts[5:] == tuple(m.lengthscale for m in models[3:6])
+
     def test_no_fit_at_all_proposes_uniformly(self, monkeypatch):
-        def fit(data, noise=False):
+        def fit(data, noise=False, start=None):
             raise SingularCovariance("forced")
 
         monkeypatch.setattr(opt.gp, "fit", fit)
