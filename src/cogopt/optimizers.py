@@ -311,10 +311,8 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
         fit[i] = f(pop[i])
 
     Fm, CRm = F, CR
+    ibest = int(np.argmin(fit))  # the running best member's slot
     while f.remaining > 0:
-        # the generation's best slot: a member replaced in it during the
-        # generation is the best that later mutants see
-        ibest = int(np.argmin(fit))
         succ_F: list[float] = []
         succ_CR: list[float] = []
         for i in range(popsize):
@@ -346,6 +344,8 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
             if ft <= fit[i]:
                 pop[i] = trial
                 fit[i] = ft
+                if ft < fit[ibest]:
+                    ibest = i
                 succ_F.append(Fi)
                 succ_CR.append(CRi)
         if c > 0.0 and succ_F:

@@ -163,6 +163,22 @@ class TestDifferentialEvolution:
         with pytest.raises(ConfigError):
             opt.differential_evolution(problem(sphere, SYM, 20), 0, strategy=7)
 
+    def test_mutants_see_a_better_member_found_in_the_same_generation(self, monkeypatch):
+        # responses by call order: slot 1 starts best, then slot 0's trial beats it
+        ys, xs = iter([5.0, 1.0, 6.0, 7.0, 0.0, 9.0]), []
+
+        def f(x):
+            xs.append(x)
+            return next(ys)
+
+        # slot 0's mutant moves by pop[2] - pop[3]; slot 1's is the best member itself
+        monkeypatch.setattr(opt, "_distinct",
+                            lambda rng, popsize, i, k: [2, 3, 2, 3, 2] if i == 0 else [0] * k)
+        opt.differential_evolution(problem(f, SYM, 6), 0, popsize=4, strategy=2,
+                                   F=1.0, CR=1.0, c=0.0)
+        assert xs[4] != xs[1]
+        assert xs[5] == xs[4]
+
     @pytest.mark.parametrize("strategy", [1, 2, 3, 4, 5])
     def test_all_strategies_run(self, strategy):
         res = opt.differential_evolution(problem(sphere, SYM, 25), 1, strategy=strategy)
