@@ -4,9 +4,10 @@ A single squared-exponential kernel with constant mean is used throughout.
 The signal variance and the mean are solved in closed form; the lengthscale
 comes from a deterministic log-space grid search, or from a given start
 lengthscale, refined by a local pattern search, so fitting the same data from
-the same start always yields the same model.  The grid is scored in one pass: one `np.exp` builds every candidate's correlation matrix,
-each is still factored on its own, and the winner is re-scored by `_score`,
-so the pass picks the model a loop over `_score` would.  Every matrix the
+the same start always yields the same model.  The grid is scored in one
+pass: one `np.exp` builds every candidate's correlation matrix, each is
+still factored on its own, and the winner is re-scored by `_score`, so the
+pass picks the model a loop over `_score` would.  Every matrix the
 module factors is a correlation matrix R plus a nugget on its diagonal,
 max(noise ratio, 1e-10) (Ranjan, Haynes & Karsten 2011), factored once by
 LAPACK's `dpotrf` in `_factor`; the 1e-10 floor keeps the near-singular R of
@@ -200,9 +201,8 @@ def fit(data: Dataset, noise: bool = False, start: float | None = None) -> GPMod
     carries a 1e-10 * signal_var nugget.  Raises `SingularCovariance` when a
     candidate does not factor.
     """
-    if start is not None and (noise or math.isnan(start)):
-        raise SchemaError(f"start lengthscale {start} refused: it must be a number, "
-                          "for a fit without noise")
+    if noise and start is not None:
+        raise SchemaError("a start lengthscale is for fits without noise")
     width = data.bounds[1] - data.bounds[0]
     vy = max(float(np.var(data.y)), 1e-12)
     sv_range = (1e-4 * vy, 4.0 * vy)
