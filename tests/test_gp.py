@@ -239,21 +239,26 @@ class TestScoreGrid:
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def assert_same_fit(first, second):
+    """Both calls raise `SingularCovariance`, or both return equal fields."""
+    try:
+        a = first()
+    except SingularCovariance:
+        with pytest.raises(SingularCovariance):
+            second()
+        return
+    b = second()
+    for name in ("lengthscale", "signal_var", "nugget", "mean"):
+        assert getattr(a, name) == getattr(b, name)
+    assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
+
+
 class TestFitRepeatable:
     @pytest.mark.parametrize("noise", [False, True])
     @settings(max_examples=20, deadline=None)
     @given(data=degenerate_datasets())
     def test_same_data_gives_equal_fields(self, noise, data):
-        try:
-            a = gp.fit(data, noise=noise)
-        except SingularCovariance:
-            with pytest.raises(SingularCovariance):
-                gp.fit(data, noise=noise)
-            return
-        b = gp.fit(data, noise=noise)
-        for name in ("lengthscale", "signal_var", "nugget", "mean"):
-            assert getattr(a, name) == getattr(b, name)
-        assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
+        assert_same_fit(lambda: gp.fit(data, noise=noise), lambda: gp.fit(data, noise=noise))
 
 
 def clamped_start(data: gp.Dataset, start: float) -> float:
@@ -271,16 +276,7 @@ class TestWarmStart:
     @given(data=degenerate_datasets(), log_frac=start_lengthscales())
     def test_same_data_and_start_give_equal_fields(self, data, log_frac):
         start = 10.0 ** log_frac * (data.bounds[1] - data.bounds[0])
-        try:
-            a = gp.fit(data, start=start)
-        except SingularCovariance:
-            with pytest.raises(SingularCovariance):
-                gp.fit(data, start=start)
-            return
-        b = gp.fit(data, start=start)
-        for name in ("lengthscale", "signal_var", "nugget", "mean"):
-            assert getattr(a, name) == getattr(b, name)
-        assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
+        assert_same_fit(lambda: gp.fit(data, start=start), lambda: gp.fit(data, start=start))
 
     @settings(max_examples=30, deadline=None)
     @given(data=degenerate_datasets(), log_frac=start_lengthscales())
@@ -306,16 +302,7 @@ class TestWarmStart:
         start = 10.0 ** log_frac * (data.bounds[1] - data.bounds[0])
         edge = clamped_start(data, start)
         assert edge != start
-        try:
-            a = gp.fit(data, start=edge)
-        except SingularCovariance:
-            with pytest.raises(SingularCovariance):
-                gp.fit(data, start=start)
-            return
-        b = gp.fit(data, start=start)
-        for name in ("lengthscale", "signal_var", "nugget", "mean"):
-            assert getattr(a, name) == getattr(b, name)
-        assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
+        assert_same_fit(lambda: gp.fit(data, start=edge), lambda: gp.fit(data, start=start))
 
     @settings(max_examples=20, deadline=None)
     @given(data=degenerate_datasets(), log_frac=start_lengthscales())
