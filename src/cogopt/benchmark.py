@@ -123,13 +123,12 @@ def tune_then_benchmark(
     bench_idx: int,
     reps: int = 10,
     seed: int = 0,
-    checkpoints: tuple[int, ...] | None = None,
 ) -> list[EvaluationRecord]:
     """Random-search tuning on instance `tune_idx`, metered benchmarking on `bench_idx`.
 
     Tuning samples `tuning_budget` configurations (each scored by one seeded
     run on the tuning instance); the winner is then run `reps` times on the
-    benchmark instance and averaged, one record per budget checkpoint.
+    benchmark instance and averaged into one record at `bench_budget`.
     Pipelines benchmarked against each other share the two indices, so their
     records fall into the same rank groups.
     """
@@ -137,9 +136,6 @@ def tune_then_benchmark(
         raise InstanceSetTooSmall("need >= 2 instances to tune and benchmark separately")
     if tune_idx == bench_idx:
         raise InstanceSetTooSmall("tuning and benchmark instances must differ")
-    if checkpoints is None:
-        checkpoints = (bench_budget,)
-    checkpoints = tuple(b for b in checkpoints if b <= bench_budget)
     rng = np.random.default_rng(derive_seed(seed, 0xB))
 
     tuned = {}
@@ -161,7 +157,7 @@ def tune_then_benchmark(
                    derive_seed(seed, 2, rep), tuned)
         for rep in range(reps)
     ]
-    return _average_checkpoints(pipeline_id, f"instance-{bench_idx}", runs, checkpoints, tuned)
+    return _average_checkpoints(pipeline_id, f"instance-{bench_idx}", runs, (bench_budget,), tuned)
 
 
 def run_campaign(

@@ -68,6 +68,12 @@ class CampaignConfig:
     k_instances: int = 5
     workers: int = 1
 
+    def __post_init__(self):
+        # the loader prefixes the section: "campaign.checkpoints: ..."
+        if not any(b <= self.budget for b in self.checkpoints):
+            raise SchemaError(f"checkpoints: need one at or below the budget {self.budget}, "
+                              f"got {list(self.checkpoints)}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -82,6 +88,10 @@ class RunConfig:
     cognition: cognition.CognitionConfig = field(default_factory=cognition.CognitionConfig)
     rating: RatingConfig = field(default_factory=RatingConfig)
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
+
+    def __post_init__(self):
+        if self.cycles < 0:
+            raise SchemaError(f"cycles: must be >= 0, got {self.cycles}")
 
 
 def _to_doc(value):

@@ -28,7 +28,6 @@ DIRECTIONS = ("minimize", "maximize")
 PARAM_TYPES = {"int": "integer", "integer": "integer", "real": "real", "float": "real",
                "categorical": "categorical"}
 PARAM_KINDS = tuple(dict.fromkeys(PARAM_TYPES.values()))
-DATA_KINDS = ("continuous", "discrete", "hybrid", "timed-automata", "neural-net", "preprocessed", "raw")
 REACH_AIMS = ("optimization-min", "optimization-max", "condition-monitoring", "anomaly-detection", "diagnosis")
 ALGORITHM_CLASSES = ("HillClimber", "Trajectory", "Population", "Surrogate", "Baseline")
 
@@ -107,10 +106,7 @@ class ParameterSpec:
 @dataclass(frozen=True)
 class AlgorithmCharacteristics:
     algorithm_class: str
-    input_data: frozenset = frozenset({"continuous"})
-    output_data: frozenset = frozenset({"continuous"})
     reach_aim: frozenset = frozenset()
-    use_multithreads: bool = False
     min_training_data: int = 0
     prefer_usage: bool = False
     avoid_usage: bool = False
@@ -121,14 +117,9 @@ class AlgorithmCharacteristics:
     def __post_init__(self):
         if self.algorithm_class not in ALGORITHM_CLASSES:
             raise SchemaError(f"unknown algorithm class {self.algorithm_class!r}")
-        for name, values, legal in (
-            ("input_data", self.input_data, DATA_KINDS),
-            ("output_data", self.output_data, DATA_KINDS),
-            ("reach_aim", self.reach_aim, REACH_AIMS),
-        ):
-            for v in values:
-                if v not in legal:
-                    raise SchemaError(f"unknown {name} value {v!r}")
+        for v in self.reach_aim:
+            if v not in REACH_AIMS:
+                raise SchemaError(f"unknown reach_aim value {v!r}")
         if self.min_training_data < 0:
             raise SchemaError("min_training_data must be >= 0")
         for name, v in (
@@ -209,10 +200,7 @@ _UNSET = -1
 # names, and a number is a dynamic characteristic, -1 while unset.
 METADATA_KEYS = (
     ("Class", "algorithm_class", str, True),
-    ("Input data", "input_data", list, False),
-    ("Output data", "output_data", list, False),
     ("Reach aim", "reach_aim", list, True),
-    ("Use multithreads", "use_multithreads", bool, False),
     ("Min training data", "min_training_data", int, False),
     ("Prefer usage", "prefer_usage", bool, False),
     ("Avoid usage", "avoid_usage", bool, False),
@@ -480,8 +468,6 @@ def default_kb() -> KnowledgeBase:
             parameters=params,
             metadata=AlgorithmCharacteristics(
                 algorithm_class=cls,
-                input_data=frozenset({"continuous"}),
-                output_data=frozenset({"continuous"}),
                 reach_aim=aim,
                 min_training_data=min_training,
             ),

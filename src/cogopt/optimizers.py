@@ -140,12 +140,11 @@ def _fd_gradient(f: MeteredObjective, x: float, h: float) -> float:
     return (f(a) - f(b)) / (a - b)
 
 
-def hill_climber(problem: OptProblem, seed: int, lmm: int = 5,
-                 x0: float | None = None) -> OptResult:
-    """Bounded L-BFGS-style descent with random restarts.
+def hill_climber(problem: OptProblem, seed: int, lmm: int = 5) -> OptResult:
+    """Bounded L-BFGS descent with random restarts from uniform points.
 
-    `x0` overrides the first start point (used by tests to force a start at
-    the optimum); later restarts always draw uniformly.
+    In one dimension the L-BFGS two-loop recursion collapses to a secant
+    step over the last `lmm` curvature pairs (see `_secant_direction`).
     """
     if lmm < 1:
         raise ConfigError("lmm must be >= 1")
@@ -155,22 +154,19 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5,
     h = 1e-6 * (hi - lo)
     gtol = 1e-9 * max(1.0, hi - lo)
 
-    first = True
     try:
         while f.remaining > 0:
-            x = float(x0) if (first and x0 is not None) else _uniform(rng, problem.bounds)
-            first = False
+            x = _uniform(rng, problem.bounds)
             fx = f(x)
             g = _fd_gradient(f, x, h)
-            s_hist: list[float] = []
-            y_hist: list[float] = []
+            pairs: list[tuple[float, float]] = []  # the last lmm curvature pairs (s, y)
             while f.remaining > 0:
                 # projected gradient: zero where it pushes outside
                 pushing_out = (x <= lo + 1e-14 and g > 0) or (x >= hi - 1e-14 and g < 0)
                 pg = 0.0 if pushing_out else g
                 if abs(pg) < gtol:
                     break  # converged; restart from a fresh point
-                d = _two_loop(g, s_hist, y_hist)
+                d = _secant_direction(g, pairs)
                 if d * g >= 0:
                     d = -g
                 # backtracking line search on the clipped step
@@ -190,43 +186,28 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5,
                 if not accepted:
                     break  # no descent step found; restart
                 gn = _fd_gradient(f, xn, h)
-                s_hist.append(xn - x)
-                y_hist.append(gn - g)
-                if len(s_hist) > lmm:
-                    s_hist.pop(0)
-                    y_hist.pop(0)
+                pairs.append((xn - x, gn - g))
+                del pairs[:-lmm]
                 x, fx, g = xn, fn, gn
     except BudgetExhausted:
         pass
     return f.result()
 
 
-def _two_loop(g: float, s_hist, y_hist) -> float:
-    """Standard L-BFGS two-loop recursion for the search direction."""
-    q = g
-    alphas = []
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        sy = s * y
-        if sy <= 1e-16:
-            alphas.append((0.0, s, y, 0.0))
-            continue
-        rho = 1.0 / sy
-        a = rho * (s * q)
-        q -= a * y
-        alphas.append((a, s, y, rho))
-    if y_hist:
-        s, y = s_hist[-1], y_hist[-1]
-        yy = y * y
-        gamma = (s * y) / yy if yy > 0 else 1.0
-    else:
-        gamma = 1.0
-    r = gamma * q
-    for a, s, y, rho in reversed(alphas):
-        if rho == 0.0:
-            continue
-        b = rho * (y * r)
-        r += (a - b) * s
-    return -r
+def _secant_direction(g: float, pairs) -> float:
+    """The two-loop recursion's direction in one dimension, in closed form.
+
+    The newest pair (s, y) with s * y > 1e-16 gives the secant step -g * s / y.
+    With none, -g is scaled by the newest pair's s * y / (y * y), if any.
+    """
+    for s, y in reversed(pairs):
+        if s * y > 1e-16:
+            return -g * s / y
+    if pairs:
+        s, y = pairs[-1]
+        if y * y > 0:
+            return -((s * y) / (y * y) * g)
+    return -g
 
 
 # ---------------------------------------------------------------------------

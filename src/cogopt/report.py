@@ -78,7 +78,7 @@ def rank_correlation(records: list[EvaluationRecord]) -> benchmark.CorrelationRe
     return pearson_correlation([gt[k] for k in keys], [sm[k] for k in keys])
 
 
-def scenario_tables(records: list[EvaluationRecord], scenarios, baseline: str = BASELINE):
+def scenario_tables(records: list[EvaluationRecord], scenarios):
     """Aggregate-rating table per weight scenario, rated on the simulations."""
     sim_records = [r for r in records if _is_sim(r.instance)]
     if not sim_records:
@@ -86,7 +86,7 @@ def scenario_tables(records: list[EvaluationRecord], scenarios, baseline: str = 
     out = []
     for weights in scenarios:
         rw = RatingWeights(*weights)
-        table, p_best, _ = rate_pipelines(sim_records, baseline, rw)
+        table, p_best, _ = rate_pipelines(sim_records, BASELINE, rw)
         out.append((rw, table, p_best))
     return out
 

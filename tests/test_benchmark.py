@@ -88,12 +88,9 @@ class TestTuneThenBenchmark:
         expected = int(np.random.default_rng(bm.derive_seed(0, 0xB)).integers(1, 21))
         assert records[0].tuned_params == {"lmm": expected}
 
-    def test_checkpoint_records(self):
+    def test_one_record_at_the_bench_budget(self):
         S = bm.generate_test_functions(make_dataset(), 2)
-        records = self.run(S, bench_budget=36, checkpoints=(6, 12, 18, 24, 30, 36))
-        assert [r.budget for r in records] == [6, 12, 18, 24, 30, 36]
-        ys = [r.best_y for r in records]
-        assert all(a >= b for a, b in zip(ys, ys[1:]))  # more budget never hurts
+        assert [r.budget for r in self.run(S, bench_budget=36)] == [36]
 
     def test_shared_indices_put_records_in_one_group(self):
         S = bm.generate_test_functions(make_dataset(), 4)
@@ -213,9 +210,16 @@ class TestCampaign:
         return {"sim-0": S[0], "sim-1": S[1]}
 
     def test_record_count(self):
-        records = bm.run_campaign(self.PIPELINES, self.objectives(), BOUNDS,
-                                  budget=12, checkpoints=(6, 12), reps=2)
-        assert len(records) == 2 * 2 * 2  # pipelines x instances x checkpoints
+        objectives = self.objectives()
+        records = bm.run_campaign(self.PIPELINES, objectives, BOUNDS,
+                                  budget=36, checkpoints=(6, 12, 18, 24, 30, 36, 42), reps=2)
+        assert len(records) == 2 * 2 * 6  # pipelines x instances x checkpoints <= budget
+        for pid, _, _ in self.PIPELINES:
+            for iname in objectives:
+                mine = [r for r in records if (r.pipeline, r.instance) == (pid, iname)]
+                assert [r.budget for r in mine] == [6, 12, 18, 24, 30, 36]
+                ys = [r.best_y for r in mine]
+                assert all(a >= b for a, b in zip(ys, ys[1:]))  # more budget never hurts
 
     def test_zero_reps_is_refused(self):
         with pytest.raises(ConfigError):

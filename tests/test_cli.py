@@ -229,6 +229,20 @@ class TestErrors:
         assert res.exit_code == 2
         assert "'Avoid Usage'" in res.output
 
+    @pytest.mark.parametrize("line", ["Input data: [continuous]", "Output data: [continuous]",
+                                      "Use multithreads: false"])
+    def test_deleted_kb_key_is_a_config_error(self, runner, tmp_path, line):
+        # an older kb.yaml may still hold a key the schema has since dropped
+        cfg = write_project(tmp_path)
+        kb = tmp_path / "kb.yaml"
+        key = line.split(":")[0]
+        assert key not in kb.read_text()
+        indent = "\n            "
+        kb.write_text(kb.read_text().replace("Avoid usage:", f"{line}{indent}Avoid usage:", 1))
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
+        assert res.exit_code == 2
+        assert repr(key) in res.output
+
     @pytest.mark.parametrize("command", ["run", "benchmark"])
     @pytest.mark.parametrize("goal, named", [({"overall_goal": "AnomalyDetection"}, "AnomalyDetection"),
                                              ({"aggregation": "max"}, "Optimization/minimize/max")])
@@ -271,6 +285,8 @@ class TestErrors:
         ("cognition", {"reps": 0}, "cognition.reps"),
         ("cognition", {"design_reps": 0}, "cognition.design_reps"),
         ("goal", {"direction": "sideways"}, "goal.direction"),
+        ("campaign", {"checkpoints": [24, 36]}, "campaign.checkpoints"),
+        ("cycles", -1, "cycles"),
     ])
     def test_bad_config_value(self, runner, tmp_path, key, value, named):
         cfg = write_project(tmp_path, **{key: value})
@@ -279,7 +295,7 @@ class TestErrors:
         assert res.exit_code == 2, res.output
         assert f"{named}:" in res.output
 
-    @pytest.mark.parametrize("flag", [["--theta", "0"], ["--epsilon", "-5"]])
+    @pytest.mark.parametrize("flag", [["--theta", "0"], ["--epsilon", "-5"], ["--cycles", "-1"]])
     def test_bad_run_flag(self, runner, tmp_path, flag):
         cfg = write_project(tmp_path)
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),

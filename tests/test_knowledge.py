@@ -11,7 +11,6 @@ from cogopt.errors import ConfigError, SchemaError, UnknownAlgorithm, UnknownGoa
 from cogopt.knowledge import (
     AGGREGATIONS,
     ALGORITHM_CLASSES,
-    DATA_KINDS,
     DIRECTIONS,
     METADATA_KEYS,
     OVERALL_GOALS,
@@ -50,10 +49,7 @@ Optimization:
               max: 12
           metadata:
             Class: Surrogate
-            Input data: [continuous]
-            Output data: [continuous]
             Reach aim: [optimization-min]
-            Use multithreads: false
             Min training data: 5
             Prefer usage: true
             Avoid usage: false
@@ -159,6 +155,12 @@ class TestParsing:
         ("Performance: -1", "Performance: high", "Performance"),
         ("default: 7", "default: 7.5", "default"),
         ("Reach aim: [optimization-min]", "Reach aim: optimization-min", "Reach aim"),
+        # keys deleted from the schema are unknown keys now
+        ("Class: Surrogate", "Class: Surrogate\n            Input data: [continuous]", "Input data"),
+        ("Class: Surrogate", "Class: Surrogate\n            Output data: [continuous]",
+         "Output data"),
+        ("Class: Surrogate", "Class: Surrogate\n            Use multithreads: false",
+         "Use multithreads"),
     ])
     def test_bad_key_or_value_is_refused_by_name(self, old, new, key):
         assert KB_DOC.count(old) == 1
@@ -189,10 +191,7 @@ def parameters(draw, name):
 def entries(draw, name):
     metadata = AlgorithmCharacteristics(
         algorithm_class=draw(st.sampled_from(ALGORITHM_CLASSES)),
-        input_data=draw(subsets(DATA_KINDS)),
-        output_data=draw(subsets(DATA_KINDS)),
         reach_aim=draw(subsets(REACH_AIMS)),
-        use_multithreads=draw(st.booleans()),
         min_training_data=draw(st.integers(0, 100)),
         prefer_usage=draw(st.booleans()),
         avoid_usage=draw(st.booleans()),

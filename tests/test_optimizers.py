@@ -77,16 +77,17 @@ class TestHillClimber:
         assert abs(res.best_x - 0.3) < 1e-3
 
     def test_start_at_optimum_converges_immediately(self):
+        x0 = np.random.default_rng(0).uniform(0, 1)  # seed 0's first start point
         calls = []
 
         def f(x):
             calls.append(x)
-            return (x - 0.3) ** 2
+            return (x - x0) ** 2
 
-        opt.hill_climber(problem(f, UNIT, 60), 0, x0=0.3)
+        opt.hill_climber(problem(f, UNIT, 60), 0)
         # first inner loop: one evaluation plus one gradient stencil, then restart
-        assert calls[0] == pytest.approx(0.3)
-        restarts = [i for i, x in enumerate(calls) if abs(x - 0.3) > 1e-3]
+        assert calls[0] == x0
+        restarts = [i for i, x in enumerate(calls) if abs(x - x0) > 1e-3]
         assert restarts and restarts[0] <= 3
 
     def test_boundary_optimum(self):
@@ -271,6 +272,36 @@ class TestKrigingSBO:
         want += [rng.uniform(*SYM) for _ in range(5)]
         assert np.array_equal(np.array(seen), np.array(want))
         assert res.evals_used == 12 and np.all(np.diff(res.trace) <= 0)
+
+    def test_nan_objective_makes_every_real_fit_singular(self, monkeypatch):
+        # NaN on part of the range reaches the data, and the real gp.fit refuses
+        # it: each no-noise fit and its noise refit raise, so every proposal
+        # after the design is uniform and the budget is still used up
+        real_fit, outcomes = opt.gp.fit, []
+
+        def recorded_fit(data, noise=False, start=None):
+            try:
+                model = real_fit(data, noise=noise, start=start)
+            except SingularCovariance:
+                outcomes.append((noise, "singular"))
+                raise
+            outcomes.append((noise, "fitted"))
+            return model
+
+        monkeypatch.setattr(opt.gp, "fit", recorded_fit)
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return float("nan") if x > 0.5 else (x - 0.3) ** 2
+
+        res = opt.kriging_sbo(problem(f, UNIT, 20), 0, designSize=7)
+        assert res.evals_used == 20
+        assert outcomes == [(False, "singular"), (True, "singular")] * 13
+        rng = np.random.default_rng(0)
+        want = list(opt.latin_hypercube(rng, UNIT, 7))
+        want += [rng.uniform(*UNIT) for _ in range(13)]
+        assert np.array_equal(np.array(seen), np.array(want))
 
 
 @settings(max_examples=30, deadline=None)
