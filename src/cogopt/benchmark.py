@@ -1,6 +1,6 @@
 """Tune-then-benchmark campaigns with resource metering, ranks, and statistics.
 
-Every run derives its RNG seed from (master seed, pipeline index, instance
+Every run derives its RNG seed from (master seed, algorithm index, instance
 index, rep), so serial and parallel schedules produce identical records
 (CPU time excepted, being wall-clock dependent).
 """
@@ -112,7 +112,6 @@ def _sample_params(rng, specs: tuple[ParameterSpec, ...]) -> dict:
 
 
 def tune_then_benchmark(
-    pipeline_id: str,
     algorithm: str,
     param_specs: tuple[ParameterSpec, ...],
     S: tuple[gp.Realization, ...],
@@ -157,11 +156,11 @@ def tune_then_benchmark(
                    derive_seed(seed, 2, rep), tuned)
         for rep in range(reps)
     ]
-    return _average_checkpoints(pipeline_id, f"instance-{bench_idx}", runs, (bench_budget,), tuned)
+    return _average_checkpoints(algorithm, f"instance-{bench_idx}", runs, (bench_budget,), tuned)
 
 
 def run_campaign(
-    pipelines: list[tuple[str, str, dict]],
+    pipelines: list[tuple[str, dict]],
     objectives: dict[str, object],
     bounds,
     budget: int,
@@ -172,9 +171,9 @@ def run_campaign(
 ) -> list[EvaluationRecord]:
     """Run every (pipeline, objective, rep) combination and average over reps.
 
-    `pipelines` holds (pipeline_id, algorithm, params) triples; `objectives`
-    maps instance ids to callables.  Results are schedule-independent because
-    seeds derive from indices and both maps return results in task order.
+    `pipelines` holds (algorithm, params) pairs; `objectives` maps instance
+    ids to callables.  Results are schedule-independent because seeds derive
+    from indices and both maps return results in task order.
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
@@ -182,7 +181,7 @@ def run_campaign(
     inames = sorted(objectives)
     tasks = [
         (algo, objectives[iname], derive_seed(master_seed, pi, ii, rep), params)
-        for pi, (_, algo, params) in enumerate(pipelines)
+        for pi, (algo, params) in enumerate(pipelines)
         for ii, iname in enumerate(inames)
         for rep in range(reps)
     ]
@@ -199,9 +198,9 @@ def run_campaign(
 
     # the reps of one (pipeline, instance) pair are one slice of the results
     slices = (results[j:j + reps] for j in range(0, len(results), reps))
-    records = [rec for pid, _, params in pipelines for iname in inames
-               for rec in _average_checkpoints(pid, iname, next(slices), checkpoints, params)]
-    position = {pid: i for i, (pid, _, _) in enumerate(pipelines)}
+    records = [rec for algo, params in pipelines for iname in inames
+               for rec in _average_checkpoints(algo, iname, next(slices), checkpoints, params)]
+    position = {algo: i for i, (algo, _) in enumerate(pipelines)}
     records.sort(key=lambda r: (r.instance, r.budget, position[r.pipeline]))
     return records
 

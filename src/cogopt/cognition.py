@@ -3,7 +3,7 @@ triggered selection cycles, best-parameter extraction, and guarded
 application of proposals to the plant.
 
 Each step optionally runs a selection cycle (every `theta` iterations or
-when the stagnation trigger fired), extracts the winning pipeline's
+when the stagnation trigger fired), extracts the winning algorithm's
 parameter proposal from a surrogate of the real process, applies it to the
 plant only when it differs from the current setting by at least `epsilon`,
 ingests new production data, and re-evaluates the stagnation trigger.
@@ -84,8 +84,8 @@ class CognitionState:
     p_best: str | None = None
     best_history: list[float] = field(default_factory=list)  # least sign * aggregate per step
     last_cycle: int = 0
-    # pipeline id -> (algorithm, parameters) as last benchmarked
-    tuned: dict[str, tuple[str, dict]] = field(default_factory=dict)
+    # algorithm -> parameters as last benchmarked
+    tuned: dict[str, dict] = field(default_factory=dict)
     last_rating: RatingTable | None = None
     log_entries: list[dict] = field(default_factory=list)
 
@@ -102,27 +102,17 @@ def create_initial_design(s: int, bounds, kind: str = "full_factorial", seed: in
     raise SchemaError(f"unknown design kind {kind!r}")
 
 
-def bootstrap(
-    state: CognitionState,
-    plant: PlantAdapter,
-    config: CognitionConfig,
-    historical: list[ProductionCycleRecord] | None = None,
-) -> CognitionState:
-    """Fill the data list either from history or by applying the design."""
-    if historical:
-        state.d = list(historical)
-        state.x = historical[-1].x
-        state.last_cycle = max(r.cycle for r in historical)
-    else:
-        design = create_initial_design(
-            config.s, plant.bounds, config.design_kind, seed=config.master_seed
-        )
-        for point in design:
-            for _ in range(config.design_reps):
-                plant.apply(float(point))
-            state.x = float(point)
-        state.d = plant.receive_new_data(state.last_cycle)
-        state.last_cycle = max(r.cycle for r in state.d)
+def bootstrap(state: CognitionState, plant: PlantAdapter,
+              config: CognitionConfig) -> CognitionState:
+    """Fill the data list by applying the initial design."""
+    design = create_initial_design(config.s, plant.bounds, config.design_kind,
+                                   seed=config.master_seed)
+    for point in design:
+        for _ in range(config.design_reps):
+            plant.apply(float(point))
+        state.x = float(point)
+    state.d = plant.receive_new_data(state.last_cycle)
+    state.last_cycle = max(r.cycle for r in state.d)
     state.best_history = []
     return state
 
@@ -144,18 +134,20 @@ def run_selection_cycle(
     bounds,
 ) -> KnowledgeBase:
     """Simulate, benchmark candidates, rate, and fold results into the KB."""
+    feasible = determine_feasible(compose_pipelines(kb, goal.path), goal, data_size=len(state.d))
+    # every rating group needs the baseline as its reference, so without one nothing runs
+    baseline = next((e for e in feasible if e.name == optimizers.BASELINE), None)
+    if baseline is None:
+        log.warning("no feasible baseline; skipping this selection cycle")
+        state.p_best = None
+        return kb
+    candidates = select_candidates(feasible, config.resources, state.e)
+    if baseline not in candidates:
+        candidates = [baseline] + candidates
+
     cycle_seed = derive_seed(config.master_seed, 0xC, state.iteration)
     data = _dataset(state, bounds, goal.sign)
     S = generate_test_functions(data, config.k_instances, master_seed=cycle_seed)
-
-    pipelines = compose_pipelines(kb, goal.path)
-    feasible = determine_feasible(pipelines, goal, data_size=len(state.d))
-    candidates = select_candidates(feasible, config.resources, state.e)
-    # the baseline is always benchmarked: every rating group needs its reference
-    baseline = next((p for p in candidates + feasible
-                     if p.algorithm.name == optimizers.BASELINE), None)
-    if baseline is not None and baseline not in candidates:
-        candidates = [baseline] + candidates
 
     # one shared instance draw per cycle so all pipelines are comparable
     draw = np.random.default_rng(derive_seed(cycle_seed, 0xD))
@@ -164,10 +156,9 @@ def run_selection_cycle(
     bench_idx = others[int(draw.integers(len(others)))]
 
     records = []
-    for i, pipeline in enumerate(candidates):
-        entry = pipeline.algorithm
+    for i, entry in enumerate(candidates):
         records.extend(tune_then_benchmark(
-            pipeline.pipeline_id, entry.name, entry.parameters, S, bounds,
+            entry.name, entry.parameters, S, bounds,
             tuning_budget=config.tuning_budget,
             bench_budget=config.bench_budget,
             reps=config.reps,
@@ -177,24 +168,18 @@ def run_selection_cycle(
         ))
     state.e.extend(records)
 
-    if baseline is None:
-        log.warning("no baseline among candidates; skipping rating this cycle")
-        state.p_best = None
-        return kb
-    table, p_best, updates = rate_pipelines(records, baseline.pipeline_id, config.weights)
+    table, p_best, updates = rate_pipelines(records, baseline.name, config.weights)
     state.last_rating = table
     state.p_best = p_best
-    algorithm_of = {p.pipeline_id: p.algorithm.name for p in candidates}
     for rec in records:
-        state.tuned[rec.pipeline] = (algorithm_of[rec.pipeline], rec.tuned_params)
+        state.tuned[rec.pipeline] = rec.tuned_params
     for up in updates:
-        algorithm = algorithm_of[up.algorithm]
         try:
             kb = update_characteristics(
-                kb, goal.path, algorithm, up.performance, up.computational_effort, up.ram_usage
+                kb, goal.path, up.algorithm, up.performance, up.computational_effort, up.ram_usage
             )
         except RECOVERABLE as exc:
-            log.warning("KB update for %s failed: %s", algorithm, exc)
+            log.warning("KB update for %s failed: %s", up.algorithm, exc)
     return kb
 
 
@@ -205,21 +190,21 @@ def get_best_x(
     bounds,
     sign: float = 1.0,
 ) -> float:
-    """Winning pipeline's proposal on the surrogate of the real process
-    (of sign * aggregate), searched by its algorithm with the parameters it
-    was benchmarked with."""
+    """Winning algorithm's proposal on the surrogate of the real process
+    (of sign * aggregate), searched with the parameters it was benchmarked
+    with."""
     if p_best is None or state.x is None:
         return state.x
     try:
         data = _dataset(state, bounds, sign)
         model = gp.fit(data, noise=True)
         objective = lambda x: float(gp.predict(model, x)[0][0])
-        algo, params = state.tuned[p_best]
         problem = optimizers.OptProblem(
             objective=objective, bounds=bounds, budget=config.bench_budget
         )
         res = optimizers.run_optimizer(
-            algo, problem, derive_seed(config.master_seed, 0xA, state.iteration), params
+            p_best, problem, derive_seed(config.master_seed, 0xA, state.iteration),
+            state.tuned[p_best]
         )
         return res.best_x
     except RECOVERABLE as exc:

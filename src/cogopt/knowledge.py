@@ -1,9 +1,13 @@
-"""Declarative goal model, algorithm knowledge base, and pipeline composition.
+"""Declarative goal model, algorithm knowledge base, and candidate selection.
 
 The knowledge base is a YAML document with the hierarchy
 
     <overall goal> -> <direction> -> <feature> -> Algorithms -> <name> ->
         {parameter, metadata, input, output}
+
+A pipeline is one algorithm entry and is named after it: every entry consumes
+raw data and emits a parameter proposal, so `input` and `output` each have one
+legal value.
 
 Dynamic characteristics (performance, computational effort, RAM usage) are
 serialized as -1 while unset and live in [0, 1] once the cognition loop has
@@ -30,9 +34,6 @@ PARAM_TYPES = {"int": "integer", "integer": "integer", "real": "real", "float": 
 PARAM_KINDS = tuple(dict.fromkeys(PARAM_TYPES.values()))
 REACH_AIMS = ("optimization-min", "optimization-max", "condition-monitoring", "anomaly-detection", "diagnosis")
 ALGORITHM_CLASSES = ("HillClimber", "Trajectory", "Population", "Surrogate", "Baseline")
-
-RAW_DATA = "raw data"
-PARAMETER_PROPOSAL = "parameter proposal"
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,6 @@ class AlgorithmEntry:
     name: str
     parameters: tuple[ParameterSpec, ...]
     metadata: AlgorithmCharacteristics
-    input: str
-    output: str
-
-    def __post_init__(self):
-        if not self.input:
-            raise SchemaError(f"algorithm {self.name!r}: empty input designation")
-        if not self.output:
-            raise SchemaError(f"algorithm {self.name!r}: empty output designation")
 
     @property
     def defaults(self) -> dict:
@@ -161,26 +154,6 @@ class KnowledgeBase:
             return self.goals[tuple(path)]
         except KeyError:
             raise UnknownGoal(f"no knowledge for goal path {'/'.join(path)}") from None
-
-
-@dataclass(frozen=True)
-class PipelineTemplate:
-    """A chain of one goal's algorithm entries; the first stage consumes raw data."""
-
-    stages: tuple[AlgorithmEntry, ...]
-
-    def __post_init__(self):
-        if not self.stages:
-            raise SchemaError("pipeline needs at least one stage")
-
-    @property
-    def pipeline_id(self) -> str:
-        return "+".join(stage.name for stage in self.stages)
-
-    @property
-    def algorithm(self) -> AlgorithmEntry:
-        """The final (optimizer) stage of the chain."""
-        return self.stages[-1]
 
 
 @dataclass(frozen=True)
@@ -269,8 +242,16 @@ def _parse_metadata(name, block) -> AlgorithmCharacteristics:
     })
 
 
+# the one value each designation may take: no entry consumes another entry's output
+DESIGNATIONS = {"input": "raw data", "output": "parameter proposal"}
+
+
 def _parse_entry(name, block) -> AlgorithmEntry:
-    block = _mapping(f"algorithm {name!r}", block, {"input", "metadata"}, {"parameter", "output"})
+    what = f"algorithm {name!r}"
+    block = _mapping(what, block, {"input", "metadata"}, {"parameter", "output"})
+    for key, value in DESIGNATIONS.items():
+        if block.get(key, value) != value:
+            raise SchemaError(f"{what}: {key!r} must be {value!r}, got {block[key]!r}")
     params = tuple(
         _parse_parameter(pname, pblock)
         for pname, pblock in (block.get("parameter") or {}).items()
@@ -279,8 +260,6 @@ def _parse_entry(name, block) -> AlgorithmEntry:
         name=name,
         parameters=params,
         metadata=_parse_metadata(name, block["metadata"]),
-        input=block["input"],
-        output=block.get("output", PARAMETER_PROPOSAL),
     )
 
 
@@ -337,8 +316,7 @@ def _dump_entry(e: AlgorithmEntry) -> dict:
         "parameter": {p.name: _dump_parameter(p) for p in e.parameters},
         "metadata": {key: _CONVERT.get(kind, _SAME)[1](getattr(e.metadata, attr))
                      for key, attr, kind, _ in METADATA_KEYS},
-        "input": e.input,
-        "output": e.output,
+        **DESIGNATIONS,
     }
 
 
@@ -357,80 +335,46 @@ def save_kb(kb: KnowledgeBase, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline composition and filtering
+# Candidate filtering
 
 
-def compose_pipelines(kb: KnowledgeBase, goal_path) -> list[PipelineTemplate]:
-    """Chain the goal path's algorithm entries backwards until raw data is reached.
-
-    Final stages are the entries emitting a parameter proposal; every other
-    entry can serve as an intermediate stage when its output matches the
-    required input of the following stage.
-    """
-    entries = kb.entries_for(goal_path)
-
-    def resolve(entry: AlgorithmEntry, seen: frozenset) -> list[tuple[AlgorithmEntry, ...]]:
-        if entry.input == RAW_DATA:
-            return [(entry,)]
-        chains = []
-        for candidate in entries.values():
-            if candidate.name in seen or candidate.output != entry.input:
-                continue
-            for prefix in resolve(candidate, seen | {candidate.name}):
-                chains.append(prefix + (entry,))
-        return chains
-
-    pipelines = []
-    for entry in entries.values():
-        if entry.output != PARAMETER_PROPOSAL:
-            continue
-        for chain in resolve(entry, frozenset({entry.name})):
-            pipelines.append(PipelineTemplate(stages=chain))
-    return pipelines
+def compose_pipelines(kb: KnowledgeBase, goal_path) -> list[AlgorithmEntry]:
+    """The goal path's entries, each one pipeline."""
+    return list(kb.entries_for(goal_path).values())
 
 
 def determine_feasible(
-    pipelines: list[PipelineTemplate],
+    pipelines: list[AlgorithmEntry],
     goal: GoalSpec,
     data_size: int,
-) -> list[PipelineTemplate]:
-    """Apply the hard criteria to every stage: aim coverage and training-data size."""
+) -> list[AlgorithmEntry]:
+    """Apply the hard criteria: aim coverage and training-data size."""
     aim = goal.aim
-    return [
-        pipeline for pipeline in pipelines
-        if all(aim in stage.metadata.reach_aim and data_size >= stage.metadata.min_training_data
-               for stage in pipeline.stages)
-    ]
+    return [e for e in pipelines
+            if aim in e.metadata.reach_aim and data_size >= e.metadata.min_training_data]
 
 
 def select_candidates(
-    feasible: list[PipelineTemplate],
+    feasible: list[AlgorithmEntry],
     resources: ResourceBudget,
     history: list,
-) -> list[PipelineTemplate]:
-    """Soft selection: drop avoided/over-deadline pipelines, order, truncate.
+) -> list[AlgorithmEntry]:
+    """Soft selection: drop avoided/over-deadline entries, order, truncate.
 
     `history` carries EvaluationRecord-like objects with `pipeline` and
     `cpu_time` attributes; only the most recent record per pipeline counts.
     """
-    latest: dict[str, object] = {}
-    for rec in history:
-        latest[rec.pipeline] = rec
+    latest = {rec.pipeline: rec.cpu_time for rec in history}
+    late = {name for name, cpu_time in latest.items() if cpu_time > resources.deadline}
 
-    kept = []
-    for pipeline in feasible:
-        metadata = [stage.metadata for stage in pipeline.stages]
-        if any(m.avoid_usage for m in metadata):
-            continue
-        rec = latest.get(pipeline.pipeline_id)
-        if rec is not None and rec.cpu_time > resources.deadline:
-            continue
-        prefer = any(m.prefer_usage for m in metadata)
-        effort = pipeline.algorithm.metadata.computational_effort
+    def order(e: AlgorithmEntry):
+        effort = e.metadata.computational_effort
         # untested algorithms sort first so the loop gathers evidence early
-        kept.append((not prefer, -1.0 if effort is None else effort, pipeline.pipeline_id, pipeline))
-    kept.sort(key=lambda t: t[:3])
-    return [t[3] for t in kept[: resources.max_parallel_pipelines]]
+        return (not e.metadata.prefer_usage, -1.0 if effort is None else effort, e.name)
+
+    kept = sorted((e for e in feasible if not e.metadata.avoid_usage and e.name not in late),
+                  key=order)
+    return kept[: resources.max_parallel_pipelines]
 
 
 def update_characteristics(
@@ -471,8 +415,6 @@ def default_kb() -> KnowledgeBase:
                 reach_aim=aim,
                 min_training_data=min_training,
             ),
-            input=RAW_DATA,
-            output=PARAMETER_PROPOSAL,
         )
 
     i = lambda n, d, lo, hi: ParameterSpec(n, "integer", d, lo, hi)

@@ -85,7 +85,7 @@ class MeteredObjective:
             raise BudgetExhausted(f"budget of {self.budget} evaluations exhausted")
         x = float(x)
         lo, hi = self.bounds
-        if x < lo - 1e-12 or x > hi + 1e-12:
+        if not lo - 1e-12 <= x <= hi + 1e-12:  # NaN included
             raise OutOfBounds(f"point {x} outside bounds")
         y = float(self._fn(x))
         if y < self.best_y:
@@ -160,7 +160,8 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5) -> OptResult:
             fx = f(x)
             g = _fd_gradient(f, x, h)
             pairs: list[tuple[float, float]] = []  # the last lmm curvature pairs (s, y)
-            while f.remaining > 0:
+            # a non-finite gradient gives no direction; restart from a fresh point
+            while f.remaining > 0 and math.isfinite(g):
                 # projected gradient: zero where it pushes outside
                 pushing_out = (x <= lo + 1e-14 and g > 0) or (x >= hi - 1e-14 and g < 0)
                 pg = 0.0 if pushing_out else g

@@ -24,10 +24,10 @@ GROUND_TRUTH = "ground-truth"
 SIM_PREFIX = "sim-"
 
 
-def portfolio_from_kb(kb: KnowledgeBase, goal_path) -> list[tuple[str, str, dict]]:
-    """(pipeline id, algorithm, default parameters) of the goal's pipelines, by id."""
-    pipelines = sorted(compose_pipelines(kb, goal_path), key=lambda p: p.pipeline_id)
-    return [(p.pipeline_id, p.algorithm.name, p.algorithm.defaults) for p in pipelines]
+def portfolio_from_kb(kb: KnowledgeBase, goal_path) -> list[tuple[str, dict]]:
+    """(algorithm, default parameters) of the goal's entries, by name."""
+    return [(e.name, e.defaults)
+            for e in sorted(compose_pipelines(kb, goal_path), key=lambda e: e.name)]
 
 
 def build_objectives(plant: VpsSimulator, k_instances: int, master_seed: int) -> dict:

@@ -205,7 +205,7 @@ def test_08_knowledge_update_round_trip():
     state = bootstrap(CognitionState(), plant, cfg)
     kb = run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
 
-    benchmarked = {r.pipeline.split("+")[-1] for r in state.e}
+    benchmarked = {r.pipeline for r in state.e}
     fields_ok = True
     for name in benchmarked:
         m = kb.entries_for(GOAL_PATH)[name].metadata
@@ -243,8 +243,7 @@ def test_09_determinism(tmp_path):
             values=np.sin(np.linspace(0, 1, 32) * (3 + i)), seed=i)
         for i in range(2)
     }
-    pipelines = [("RandomSearch", "RandomSearch", {}),
-                 ("DifferentialEvolution", "DifferentialEvolution", {})]
+    pipelines = [("RandomSearch", {}), ("DifferentialEvolution", {})]
     kw = dict(budget=12, checkpoints=(6, 12), reps=3, master_seed=4)
     serial = run_campaign(pipelines, objectives, (0.0, 1.0), workers=1, **kw)
     parallel = run_campaign(pipelines, objectives, (0.0, 1.0), workers=4, **kw)

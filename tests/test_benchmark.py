@@ -64,7 +64,7 @@ class TestTuneThenBenchmark:
         kw.setdefault("reps", 2)
         kw.setdefault("tune_idx", 0)
         kw.setdefault("bench_idx", 1)
-        return bm.tune_then_benchmark("pipe", algo, tuple(specs), S, BOUNDS, **kw)
+        return bm.tune_then_benchmark(algo, tuple(specs), S, BOUNDS, **kw)
 
     def test_single_instance_rejected(self):
         S = bm.generate_test_functions(make_dataset(), 1)
@@ -95,7 +95,7 @@ class TestTuneThenBenchmark:
     def test_shared_indices_put_records_in_one_group(self):
         S = bm.generate_test_functions(make_dataset(), 4)
         a = self.run(S, tune_idx=0, bench_idx=2)
-        b = bm.tune_then_benchmark("other", "RandomSearch", (), S, BOUNDS,
+        b = bm.tune_then_benchmark("RandomSearch", (), S, BOUNDS,
                                    tuning_budget=2, bench_budget=12, reps=2,
                                    tune_idx=0, bench_idx=2)
         assert {r.instance for r in a} == {r.instance for r in b} == {"instance-2"}
@@ -202,8 +202,7 @@ class TestPearson:
 
 
 class TestCampaign:
-    PIPELINES = [("RandomSearch", "RandomSearch", {}),
-                 ("HillClimber", "HillClimber", {"lmm": 5})]
+    PIPELINES = [("RandomSearch", {}), ("HillClimber", {"lmm": 5})]
 
     def objectives(self):
         S = bm.generate_test_functions(make_dataset(), 2, master_seed=3)
@@ -214,7 +213,7 @@ class TestCampaign:
         records = bm.run_campaign(self.PIPELINES, objectives, BOUNDS,
                                   budget=36, checkpoints=(6, 12, 18, 24, 30, 36, 42), reps=2)
         assert len(records) == 2 * 2 * 6  # pipelines x instances x checkpoints <= budget
-        for pid, _, _ in self.PIPELINES:
+        for pid, _ in self.PIPELINES:
             for iname in objectives:
                 mine = [r for r in records if (r.pipeline, r.instance) == (pid, iname)]
                 assert [r.budget for r in mine] == [6, 12, 18, 24, 30, 36]
@@ -246,7 +245,7 @@ class TestCampaign:
         # competitor improves on the baseline
         bounds = (lo, lo + width)
         flat = gp.Realization(grid=np.linspace(*bounds, 8), values=np.full(8, c), seed=0)
-        pipelines = [(a, a, {}) for a in optimizers.ALGORITHMS]
+        pipelines = [(a, {}) for a in optimizers.ALGORITHMS]
         records = bm.rank_algorithms(bm.run_campaign(
             pipelines, {"sim-0": flat}, bounds, budget=12, checkpoints=(6, 12), reps=2))
         assert len(records) == len(pipelines) * 2

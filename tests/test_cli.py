@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import string
 from pathlib import Path
 
@@ -242,6 +243,17 @@ class TestErrors:
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
         assert res.exit_code == 2
         assert repr(key) in res.output
+
+    @pytest.mark.parametrize("key, value", [("input", "preprocessed data"),
+                                            ("output", "filtered data")])
+    def test_chained_kb_entry_is_a_config_error(self, runner, tmp_path, key, value):
+        # the first entry in an init kb.yaml is the baseline's
+        cfg = write_project(tmp_path)
+        kb = tmp_path / "kb.yaml"
+        kb.write_text(re.sub(rf"{key}: .*", f"{key}: {value}", kb.read_text(), count=1))
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
+        assert res.exit_code == 2
+        assert f"algorithm 'RandomSearch': {key!r}" in res.output
 
     @pytest.mark.parametrize("command", ["run", "benchmark"])
     @pytest.mark.parametrize("goal, named", [({"overall_goal": "AnomalyDetection"}, "AnomalyDetection"),

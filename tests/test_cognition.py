@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cogopt.cognition import (
     step,
 )
 from cogopt.errors import ConfigError, SchemaError, SingularCovariance, UnknownGoal
-from cogopt.knowledge import GoalSpec, default_kb
+from cogopt.knowledge import GoalSpec, KnowledgeBase, default_kb
 from cogopt.plant import PlantAdapter, ProductionCycleRecord, VpsSimulator
 
 GOAL = GoalSpec("Optimization", ("f1", "f2", "f3"), "mean", "minimize")
@@ -97,14 +98,6 @@ class TestInitialDesign:
 
 
 class TestBootstrap:
-    def test_historical_branch_skips_plant(self):
-        plant = ScriptedPlant([])
-        history = [record(0.2, 1.0, i + 1) for i in range(36)]
-        state = bootstrap(CognitionState(), plant, CognitionConfig(), historical=history)
-        assert len(state.d) == 36
-        assert state.x == 0.2
-        assert plant.applications == []
-
     def test_design_with_plant_reps(self):
         plant = VpsSimulator(noise_sd=0.0, seed=0)
         cfg = CognitionConfig(s=12, design_reps=3)
@@ -131,7 +124,7 @@ class TestGetBestX:
 
     def test_proposal_tracks_surrogate_minimum(self):
         state, cfg, plant = self.setup_state()
-        state.tuned["RandomSearch"] = ("RandomSearch", {})
+        state.tuned["RandomSearch"] = {}
         x = get_best_x("RandomSearch", state, cfg, plant.bounds)
         lo, hi = plant.bounds
         assert lo <= x <= hi
@@ -243,8 +236,8 @@ class TestSelectionCycle:
     def test_kb_characteristics_updated(self, cycle_result):
         state, kb = cycle_result
         for pipeline in {r.pipeline for r in state.e}:
-            algorithm, _ = state.tuned[pipeline]
-            m = kb.entries_for(GOAL.path)[algorithm].metadata
+            assert pipeline in state.tuned
+            m = kb.entries_for(GOAL.path)[pipeline].metadata
             assert m.performance is not None and 0.0 <= m.performance <= 1.0
             assert 0.0 <= m.computational_effort <= 1.0
             assert 0.0 <= m.ram_usage <= 1.0
@@ -253,6 +246,24 @@ class TestSelectionCycle:
         state, _ = cycle_result
         if state.p_best is not None:
             assert state.p_best in {r.pipeline for r in state.e}
+
+
+def test_no_feasible_baseline_skips_the_cycle_before_any_work(monkeypatch):
+    # the baseline needs more data than the loop holds, so no rating is possible
+    state = CognitionState(d=[record(0.1 * i, 1.0, i) for i in range(6)], x=0.5)
+    state.p_best = "HillClimber"
+    entries = default_kb().entries_for(GOAL.path)
+    base = entries[optimizers.BASELINE]
+    strict = replace(base, metadata=replace(base.metadata, min_training_data=len(state.d) + 1))
+    kb = KnowledgeBase(goals={GOAL.path: {**entries, optimizers.BASELINE: strict}})
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a cycle without a baseline simulated or benchmarked")
+
+    monkeypatch.setattr(cognition, "generate_test_functions", no_work)
+    monkeypatch.setattr(cognition, "tune_then_benchmark", no_work)
+    assert run_selection_cycle(state, kb, CognitionConfig(), GOAL, (0.0, 1.0)) is kb
+    assert state.e == [] and state.p_best is None
 
 
 def test_programming_error_in_an_optimizer_propagates(monkeypatch):
@@ -280,7 +291,8 @@ def test_the_loop_moves_the_setting_in_the_goal_direction(direction):
     plant.apply(worst)
     cfg = CognitionConfig(s=6, theta=3, k_instances=3, tuning_budget=2,
                           bench_budget=12, reps=2, master_seed=0)
-    state = bootstrap(CognitionState(), plant, cfg, historical=plant.receive_new_data(0))
+    history = plant.receive_new_data(0)
+    state = CognitionState(d=history, x=history[-1].x, last_cycle=max(r.cycle for r in history))
     goal = GoalSpec("Optimization", ("f1", "f2", "f3"), "mean", direction)
     kb = default_kb()
     for _ in range(2):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogopt import report
 from cogopt.errors import ConfigError, SchemaError, UnknownAlgorithm, UnknownGoal
 from cogopt.knowledge import (
     AGGREGATIONS,
@@ -30,7 +29,6 @@ from cogopt.knowledge import (
     select_candidates,
     update_characteristics,
 )
-from cogopt.plant import VpsSimulator
 
 GOAL = GoalSpec("Optimization", ("f",), "mean", "minimize")
 
@@ -61,8 +59,8 @@ Optimization:
 """
 
 
-def entry(name, input="raw data", output="parameter proposal", aim=("optimization-min",),
-          min_training=0, prefer=False, avoid=False, effort=None):
+def entry(name, aim=("optimization-min",), min_training=0, prefer=False, avoid=False,
+          effort=None):
     return AlgorithmEntry(
         name=name,
         parameters=(),
@@ -74,8 +72,6 @@ def entry(name, input="raw data", output="parameter proposal", aim=("optimizatio
             avoid_usage=avoid,
             computational_effort=effort,
         ),
-        input=input,
-        output=output,
     )
 
 
@@ -161,11 +157,20 @@ class TestParsing:
          "Output data"),
         ("Class: Surrogate", "Class: Surrogate\n            Use multithreads: false",
          "Use multithreads"),
+        # a pipeline is one entry: raw data in, a parameter proposal out
+        ("input: raw data", "input: preprocessed data", "input"),
+        ("input: raw data", "input: null", "input"),
+        ("output: parameter proposal", "output: preprocessed data", "output"),
     ])
     def test_bad_key_or_value_is_refused_by_name(self, old, new, key):
         assert KB_DOC.count(old) == 1
         with pytest.raises(SchemaError, match=re.escape(repr(key))):
             parse_kb(KB_DOC.replace(old, new))
+
+    def test_output_may_be_left_out(self):
+        doc = KB_DOC.replace("          output: parameter proposal\n", "")
+        assert "output" not in doc
+        assert parse_kb(doc) == parse_kb(KB_DOC)
 
 
 NAMES = st.text(string.ascii_letters, min_size=1, max_size=8)
@@ -200,8 +205,7 @@ def entries(draw, name):
         ram_usage=draw(DYNAMIC),
     )
     names = draw(st.lists(NAMES, max_size=3, unique=True))
-    return AlgorithmEntry(name, tuple(draw(parameters(n)) for n in names), metadata,
-                          input=draw(NAMES), output=draw(NAMES))
+    return AlgorithmEntry(name, tuple(draw(parameters(n)) for n in names), metadata)
 
 
 @st.composite
@@ -243,28 +247,9 @@ class TestRoundTrip:
 
 
 class TestCompose:
-    def test_two_stage_chain(self):
-        kb = kb_of(
-            entry("Opt", input="preprocessed data"),
-            entry("Prep", input="raw data", output="preprocessed data"),
-        )
-        pipes = compose_pipelines(kb, GOAL.path)
-        assert [tuple(s.name for s in p.stages) for p in pipes] == [("Prep", "Opt")]
-        assert pipes[0].pipeline_id == "Prep+Opt"
-        assert pipes[0].algorithm.name == "Opt"
-
-    def test_no_raw_data_consumer_gives_empty_list(self):
-        kb = kb_of(entry("Opt", input="preprocessed data"))
-        assert compose_pipelines(kb, GOAL.path) == []
-
-    def test_two_optimizers_one_preprocessor(self):
-        kb = kb_of(
-            entry("OptA", input="preprocessed data"),
-            entry("OptB", input="preprocessed data"),
-            entry("Prep", input="raw data", output="preprocessed data"),
-        )
-        pipes = compose_pipelines(kb, GOAL.path)
-        assert sorted(p.pipeline_id for p in pipes) == ["Prep+OptA", "Prep+OptB"]
+    def test_each_entry_is_one_pipeline(self):
+        kb = kb_of(entry("OptA"), entry("OptB"))
+        assert [e.name for e in compose_pipelines(kb, GOAL.path)] == ["OptA", "OptB"]
 
     def test_unknown_goal(self):
         kb = kb_of(entry("Opt"))
@@ -291,7 +276,7 @@ class TestFeasibility:
         sizes = [0, 2, 3, 5, 8, 13, 40]
         previous: set = set()
         for n in sizes:
-            now = {p.pipeline_id for p in determine_feasible(pipes, GOAL, n)}
+            now = {e.name for e in determine_feasible(pipes, GOAL, n)}
             assert previous <= now
             previous = now
 
@@ -305,22 +290,8 @@ def test_each_goal_reads_its_own_entries():
                               maximize: kb.entries_for(maximize)})
     for path, direction, feasible_at_13 in ((minimize, "minimize", False), (maximize, "maximize", True)):
         goal = GoalSpec("Optimization", ("f",), "mean", direction)
-        ids = {p.pipeline_id for p in determine_feasible(compose_pipelines(kb, path), goal, 13)}
+        ids = {e.name for e in determine_feasible(compose_pipelines(kb, path), goal, 13)}
         assert ("KrigingSBO" in ids) == feasible_at_13
-
-
-def test_campaign_benchmarks_the_composed_chain():
-    """A smoother feeding KrigingSBO gives the campaign one chain, run as KrigingSBO."""
-    entries = default_kb().entries_for(GOAL.path)
-    kb = KnowledgeBase(goals={GOAL.path: {
-        "RandomSearch": entries["RandomSearch"],
-        "Smooth": entry("Smooth", output="preprocessed data"),
-        "KrigingSBO": replace(entries["KrigingSBO"], input="preprocessed data"),
-    }})
-    records = report.campaign(VpsSimulator(noise_sd=0.02, seed=0), kb, GOAL.path,
-                              budget=12, checkpoints=(12,), reps=1, k_instances=2)
-    assert {r.pipeline for r in records} == {"RandomSearch", "Smooth+KrigingSBO"}
-    assert len(records) == 2 * 3  # two pipelines on the ground truth and two simulations
 
 
 class Rec:
@@ -341,7 +312,7 @@ class TestSelectCandidates:
         pipes = compose_pipelines(kb, GOAL.path)
         history = [Rec("Slow", 30.0)]
         out = select_candidates(pipes, ResourceBudget(deadline=20.0), history)
-        assert [p.pipeline_id for p in out] == ["Fast"]
+        assert [e.name for e in out] == ["Fast"]
 
     def test_only_latest_record_counts(self):
         kb = kb_of(entry("A"))
@@ -354,20 +325,20 @@ class TestSelectCandidates:
         kb = kb_of(entry("Avoided", avoid=True), entry("Normal"))
         pipes = compose_pipelines(kb, GOAL.path)
         out = select_candidates(pipes, ResourceBudget(), [])
-        assert [p.pipeline_id for p in out] == ["Normal"]
+        assert [e.name for e in out] == ["Normal"]
 
     def test_prefer_usage_sorts_first(self):
         kb = kb_of(entry("Plain", effort=0.1), entry("Preferred", prefer=True, effort=0.9))
         pipes = compose_pipelines(kb, GOAL.path)
         out = select_candidates(pipes, ResourceBudget(), [])
-        assert [p.pipeline_id for p in out] == ["Preferred", "Plain"]
+        assert [e.name for e in out] == ["Preferred", "Plain"]
 
     def test_subset_of_input(self):
         kb = kb_of(entry("A"), entry("B"), entry("C"), entry("D"), entry("E"))
         pipes = compose_pipelines(kb, GOAL.path)
         for limit in (1, 3, 10):
             out = select_candidates(pipes, ResourceBudget(max_parallel_pipelines=limit), [])
-            assert set(p.pipeline_id for p in out) <= set(p.pipeline_id for p in pipes)
+            assert set(e.name for e in out) <= set(e.name for e in pipes)
             assert len(out) <= limit
 
 
@@ -382,7 +353,6 @@ class TestUpdate:
         after = kriging(update_characteristics(parse_kb(KB_DOC), GOAL.path, "Kriging", 0.5, 0.5, 0.5))
         assert after.parameters == before.parameters
         assert after.metadata.min_training_data == before.metadata.min_training_data
-        assert after.input == before.input
 
     def test_out_of_range_rejected(self):
         with pytest.raises(SchemaError):

@@ -33,10 +33,12 @@ class TestMeteredObjective:
         with pytest.raises(opt.BudgetExhausted):
             f(0.5)
 
-    def test_bounds_enforced(self):
+    @pytest.mark.parametrize("x", [1.5, -0.5, float("nan")])
+    def test_bounds_enforced(self, x):
         f = opt.MeteredObjective(problem(sphere, UNIT, 5))
         with pytest.raises(opt.OutOfBounds):
-            f(1.5)
+            f(x)
+        assert f.evals == 0
 
     def test_trace_is_best_so_far(self):
         f = opt.MeteredObjective(problem(sphere, SYM, 5))
@@ -93,6 +95,20 @@ class TestHillClimber:
     def test_boundary_optimum(self):
         res = opt.hill_climber(problem(lambda x: x, UNIT, 60), 2)
         assert res.best_x <= 1e-6
+
+    def test_nan_region_is_left_for_a_fresh_start(self):
+        # NaN on part of the range makes the gradient NaN; the climber must
+        # restart instead of stepping to x = NaN
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return float("nan") if x > 0.5 else (x - 0.3) ** 2
+
+        res = opt.hill_climber(problem(f, UNIT, 60), 1)
+        assert res.evals_used == len(seen) == 60
+        assert all(0.0 <= x <= 1.0 for x in seen)
+        assert abs(res.best_x - 0.3) < 1e-3
 
     def test_invalid_lmm(self):
         with pytest.raises(ConfigError):
