@@ -7,14 +7,17 @@ lengthscale, refined by a local pattern search, so fitting the same data from
 the same start always yields the same model.  The grid is scored in one
 pass: one `np.exp` builds every candidate's correlation matrix, each is
 still factored on its own, and the winner is re-scored by `_score`, so the
-pass picks the model a loop over `_score` would.  Every matrix the
-module factors is a correlation matrix R plus a nugget on its diagonal,
-max(noise ratio, 1e-10) (Ranjan, Haynes & Karsten 2011), factored once by
-LAPACK's `dpotrf` in `_factor`; the 1e-10 floor keeps the near-singular R of
-clustered data positive definite, so roundoff never picks the model.
-Unconditional draws multiply the Cholesky factor of the grid's prior by
-standard normals; conditional draws use conditioning by kriging and therefore
-reproduce the training observations up to the nugget.
+pass picks the model a loop over `_score` would; the pattern search then
+scores each lengthscale at most once.  Every matrix the module factors is a
+correlation matrix R plus a nugget on its diagonal, max(noise ratio, 1e-10)
+(Ranjan, Haynes & Karsten 2011), factored once by LAPACK's `dpotrf` in
+`_factor`; the 1e-10 floor keeps the near-singular R of clustered data
+positive definite, so roundoff never picks the model.  `predict` builds the
+cross-covariance Ks in place and takes the variance of every point from one
+right-side triangular solve, Ks L^-T.  Unconditional draws multiply the
+Cholesky factor of the grid's prior by standard normals; conditional draws
+use conditioning by kriging and therefore reproduce the training
+observations up to the nugget.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import SchemaError, SingularCovariance
 
@@ -108,7 +111,14 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kernel(a, b, lengthscale: float, signal_var: float) -> np.ndarray:
-    return signal_var * np.exp(-_sqdist(a, b) / (2.0 * lengthscale ** 2))
+    """signal_var * exp(-(a_i - b_j)^2 / 2 ls^2), built in one array."""
+    K = np.subtract.outer(a, b)
+    np.square(K, out=K)
+    np.negative(K, out=K)
+    np.divide(K, 2.0 * lengthscale ** 2, out=K)
+    np.exp(K, out=K)
+    np.multiply(signal_var, K, out=K)
+    return K
 
 
 def _chol(R: np.ndarray, nr: float = 0.0) -> np.ndarray:
@@ -194,12 +204,12 @@ def fit(data: Dataset, noise: bool = False, start: float | None = None) -> GPMod
     A `start` lengthscale (no-noise fits only) replaces the grid: it is
     clamped into the grid's range and scored alone, so the fit stays in the
     likelihood mode around it.  One pattern-search pass over the lengthscale
-    at the winning noise ratio follows, trying `+step` before `-step`; the
-    same data and start always give the same model.  Each candidate's
-    correlation matrix is factored on its own, with the nugget
-    max(noise ratio, 1e-10) on its diagonal, so a noise-free model still
-    carries a 1e-10 * signal_var nugget.  Raises `SingularCovariance` when a
-    candidate does not factor.
+    at the winning noise ratio follows, trying `+step` before `-step` and
+    skipping a lengthscale it has already scored; the same data and start
+    always give the same model.  Each candidate's correlation matrix is
+    factored on its own, with the nugget max(noise ratio, 1e-10) on its
+    diagonal, so a noise-free model still carries a 1e-10 * signal_var
+    nugget.  Raises `SingularCovariance` when a candidate does not factor.
     """
     if noise and start is not None:
         raise SchemaError("a start lengthscale is for fits without noise")
@@ -222,6 +232,9 @@ def fit(data: Dataset, noise: bool = False, start: float | None = None) -> GPMod
         best = _score(D2, data.y, ls, nr, sv_range)
     if not np.isfinite(best[0]):
         raise SingularCovariance("no hyperparameter setting has a finite likelihood")
+    # each lengthscale scored so far was a best or lost to one, so scoring it
+    # again could never pass `> best + 1e-12`
+    seen = {ls}
 
     # one compass pattern-search pass in log-lengthscale, shrinking steps
     steps = [math.log(ls_grid[1] / ls_grid[0]) / 2.0]
@@ -233,6 +246,9 @@ def fit(data: Dataset, noise: bool = False, start: float | None = None) -> GPMod
             improved = False
             for d in (step, -step):
                 move = min(max(ls * math.exp(d), ls_grid[0]), ls_grid[-1])
+                if move in seen:
+                    continue
+                seen.add(move)
                 scored = _score(D2, data.y, move, nr, sv_range)
                 if scored[0] > best[0] + 1e-12:
                     best, ls, improved = scored, float(move), True
@@ -241,7 +257,7 @@ def fit(data: Dataset, noise: bool = False, start: float | None = None) -> GPMod
     _, sv, mean, L_R = best
     sv = float(sv)
     L = L_R * math.sqrt(sv)
-    alpha = cho_solve((L, True), data.y - mean)
+    alpha = dpotrs(L, data.y - mean, lower=1)[0]
     return GPModel(
         data=data,
         lengthscale=ls,
@@ -260,9 +276,11 @@ def predict(model: GPModel, x) -> tuple[np.ndarray, np.ndarray]:
         raise SchemaError(f"predict takes a setting or a vector of settings, got shape {x.shape}")
     Ks = kernel(x, model.data.X, model.lengthscale, model.signal_var)
     mean = model.mean + Ks @ model.alpha
-    v = dtrtrs(model.chol, Ks.T, lower=1)[0]
-    var = np.maximum(model.signal_var - np.sum(v * v, axis=0), 0.0)
-    return mean, var
+    # the rows of Ks L^-T in one right-side solve, made in a Fortran-ordered copy of Ks
+    v = dtrsm(1.0, model.chol, Ks, side=1, lower=1, trans_a=1)
+    var = np.square(v, out=v).sum(axis=1)
+    np.subtract(model.signal_var, var, out=var)
+    return mean, np.maximum(var, 0.0, out=var)
 
 
 def default_grid(bounds, size: int = GRID_SIZE) -> np.ndarray:
@@ -312,7 +330,7 @@ def simulate_conditional(model: GPModel, grid: np.ndarray, seed: int = 0) -> Rea
     Kxx = kernel(X, X, model.lengthscale, model.signal_var)
     L = _chol(Kxx / model.signal_var) * math.sqrt(model.signal_var)
     Ks = kernel(full, X, model.lengthscale, model.signal_var)
-    m_sim = model.mean + Ks @ cho_solve((L, True), y_sim - model.mean)
+    m_sim = model.mean + Ks @ dpotrs(L, y_sim - model.mean, lower=1)[0]
 
     values = uncond.values + m_data - m_sim
     return Realization(grid=full, values=values, seed=seed)

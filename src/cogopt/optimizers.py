@@ -13,6 +13,7 @@ state-size-based memory accounting.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ from .errors import BudgetExhausted, ConfigError, OutOfBounds, SingularCovarianc
 
 ALGORITHMS = ("RandomSearch", "HillClimber", "GeneralizedSA", "DifferentialEvolution", "KrigingSBO")
 BASELINE = "RandomSearch"
+
+log = logging.getLogger("cogopt.optimizers")
 
 
 @dataclass
@@ -356,10 +359,23 @@ def latin_hypercube(rng, bounds, n: int) -> np.ndarray:
 
 
 def _expected_improvement(mu, var, y_best):
-    sd = np.sqrt(np.maximum(var, 1e-18))
-    z = (y_best - mu) / sd
-    pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
-    return (y_best - mu) * ndtr(z) + sd * pdf
+    """(y_best - mu) * ndtr(z) + sd * pdf(z) with z = (y_best - mu) / sd, in four arrays.
+
+    The same ufuncs in the same order as the plain expression; `mu` and
+    `var` are not written.
+    """
+    sd = np.maximum(var, 1e-18)
+    np.sqrt(sd, out=sd)
+    gain = np.subtract(y_best, mu)
+    z = np.divide(gain, sd)
+    pdf = np.square(z)
+    np.negative(pdf, out=pdf)
+    np.divide(pdf, 2.0, out=pdf)
+    np.exp(pdf, out=pdf)
+    np.divide(pdf, np.sqrt(2 * np.pi), out=pdf)
+    np.multiply(gain, ndtr(z, out=z), out=gain)
+    np.multiply(sd, pdf, out=pdf)
+    return np.add(gain, pdf, out=gain)
 
 
 def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
@@ -395,13 +411,17 @@ def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
         try:
             model = gp.fit(ds, start=start)
             start = model.lengthscale
-        except SingularCovariance:
+        except SingularCovariance as exc:
+            log.info("KrigingSBO: no-noise fit on %d points is singular (%s); refitting with noise",
+                     ds.n, exc)
             start = None
             try:  # soft restart: re-fit with a noise term absorbing duplicates
                 model = gp.fit(ds, noise=True)
             except SingularCovariance:
                 model = None
         if model is None:
+            log.info("KrigingSBO: noise fit on %d points is singular too; proposing uniformly",
+                     ds.n)
             xn = _uniform(rng, problem.bounds)
         else:
             f.set_state_bytes(16 * len(X) + model.state_bytes())
@@ -414,6 +434,8 @@ def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
             xn = cand[int(np.argmax(ei))]
             # np.isclose(xn, X, atol=1e-12), without its checks for non-finite input
             if (np.abs(xn - ds.X) <= 1e-12 + 1e-5 * np.abs(ds.X)).any():
+                log.info("KrigingSBO: EI pick %r duplicates a data point; proposing uniformly",
+                         float(xn))
                 xn = _uniform(rng, problem.bounds)
         yn = f(xn)
         X.append(float(xn))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from cogopt import gp
 from cogopt.errors import SchemaError, SingularCovariance
@@ -311,6 +312,28 @@ class TestWarmStart:
             gp.fit(data, noise=True, start=10.0 ** log_frac * (data.bounds[1] - data.bounds[0]))
 
 
+class TestPatternSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(data=degenerate_datasets(), kind=st.sampled_from(["grid", "warm", "noise"]),
+           log_frac=start_lengthscales())
+    def test_no_lengthscale_is_scored_twice(self, data, kind, log_frac):
+        kwargs = {"grid": {}, "noise": {"noise": True},
+                  "warm": {"start": 10.0 ** log_frac * (data.bounds[1] - data.bounds[0])}}[kind]
+        real_score, calls = gp._score, []
+
+        def score(D2, y, ls, nr, sv_range):
+            calls.append((float(ls), float(nr)))
+            return real_score(D2, y, ls, nr, sv_range)
+
+        def spied_fit():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gp, "_score", score)
+                return gp.fit(data, **kwargs)
+
+        assert_same_fit(spied_fit, lambda: gp.fit(data, **kwargs))
+        assert len(calls) == len(set(calls))
+
+
 class TestPredict:
     def test_interpolates_training_points(self):
         ds = make_dataset()
@@ -343,6 +366,29 @@ class TestPredict:
         grid = np.linspace(0.4, 0.6, 101)
         mean, _ = gp.predict(model, grid)
         assert np.all(mean <= 1.0 + 1e-6)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(data=degenerate_datasets(),
+           fracs=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=40), one=st.booleans())
+    def test_mean_and_variance_match_the_left_side_solve(self, noise, data, fracs, one):
+        try:
+            model = gp.fit(data, noise=noise)
+        except SingularCovariance:
+            return
+        lo, hi = data.bounds
+        x = lo + (hi - lo) * np.array(fracs)
+        if one:
+            x = float(x[0])
+        mean, var = gp.predict(model, x)
+        sv = model.signal_var
+        Ks = gp.kernel(np.atleast_1d(x), data.X, model.lengthscale, sv)
+        assert np.array_equal(mean, model.mean + Ks @ model.alpha)
+        v = dtrtrs(model.chol, Ks.T, lower=1)[0]
+        want = np.maximum(sv - np.sum(v * v, axis=0), 0.0)
+        assert var.shape == want.shape
+        assert np.max(np.abs(var - want)) <= 1e-10 * sv
+        assert np.all((var >= 0.0) & (var <= sv))
 
     def test_points_with_the_wrong_column_count_are_refused(self):
         # a (1, k) array is refused, not read as k settings

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import ndtr
 
 import cogopt
 from cogopt import optimizers as opt
@@ -289,10 +292,11 @@ class TestKrigingSBO:
         assert np.array_equal(np.array(seen), np.array(want))
         assert res.evals_used == 12 and np.all(np.diff(res.trace) <= 0)
 
-    def test_nan_objective_makes_every_real_fit_singular(self, monkeypatch):
+    def test_nan_objective_makes_every_real_fit_singular(self, monkeypatch, caplog):
         # NaN on part of the range reaches the data, and the real gp.fit refuses
         # it: each no-noise fit and its noise refit raise, so every proposal
         # after the design is uniform and the budget is still used up
+        caplog.set_level(logging.INFO, logger="cogopt.optimizers")
         real_fit, outcomes = opt.gp.fit, []
 
         def recorded_fit(data, noise=False, start=None):
@@ -318,6 +322,23 @@ class TestKrigingSBO:
         want = list(opt.latin_hypercube(rng, UNIT, 7))
         want += [rng.uniform(*UNIT) for _ in range(13)]
         assert np.array_equal(np.array(seen), np.array(want))
+        # each fallback leaves one INFO record, never a WARNING
+        records = [r for r in caplog.records if r.name == "cogopt.optimizers"]
+        assert {r.levelno for r in records} == {logging.INFO}
+        messages = [r.getMessage() for r in records]
+        assert sum("refitting with noise" in m for m in messages) == 13
+        assert sum("singular too; proposing uniformly" in m for m in messages) == 13
+        assert len(messages) == 26
+
+    def test_duplicate_pick_is_replaced_by_a_logged_uniform_proposal(self, caplog):
+        # on bounds 1e-6 wide at x = 1, every candidate is within isclose's
+        # 1e-5 relative tolerance of every data point
+        caplog.set_level(logging.INFO, logger="cogopt.optimizers")
+        res = opt.kriging_sbo(problem(sphere, (1.0, 1.0 + 1e-6), 12), 0, designSize=7)
+        assert res.evals_used == 12
+        records = [r for r in caplog.records if r.name == "cogopt.optimizers"]
+        assert [(r.levelno, "duplicates a data point" in r.getMessage())
+                for r in records] == [(logging.INFO, True)] * 5
 
 
 @settings(max_examples=30, deadline=None)
@@ -369,6 +390,30 @@ def test_expected_improvement_equals_the_scipy_normal_form():
     z = (0.5 - mu) / sd
     want = (0.5 - mu) * norm.cdf(z) + sd * norm.pdf(z)
     assert np.array_equal(opt._expected_improvement(mu, var, 0.5), want)
+
+
+@st.composite
+def ei_inputs(draw):
+    """Means above and below y_best; variances zero, tiny, negative or moderate."""
+    y_best = draw(st.floats(-1e3, 1e3))
+    n = draw(st.integers(1, 40))
+    offsets = draw(hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)))
+    var = draw(hnp.arrays(float, n, elements=st.one_of(
+        st.just(0.0), st.floats(1e-300, 1e-15), st.floats(-1e3, -1e-300), st.floats(1e-12, 1e6))))
+    return y_best + offsets, var, y_best
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=ei_inputs())
+def test_expected_improvement_equals_the_plain_expression(inputs):
+    mu, var, y_best = inputs
+    mu_in, var_in = mu.copy(), var.copy()
+    got = opt._expected_improvement(mu, var, y_best)
+    assert np.array_equal(mu, mu_in) and np.array_equal(var, var_in)
+    sd = np.sqrt(np.maximum(var, 1e-18))
+    z = (y_best - mu) / sd
+    pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
+    assert np.array_equal(got, (y_best - mu) * ndtr(z) + sd * pdf)
 
 
 def test_cli_import_graph_leaves_out_scipy_stats():
