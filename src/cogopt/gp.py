@@ -23,6 +23,7 @@ observations up to the nugget.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,13 @@ class GPModel:
 
 @dataclass(frozen=True)
 class Realization:
-    """A simulated objective curve, piecewise linear between grid points."""
+    """A simulated objective curve, piecewise linear between grid points.
+
+    A call gives what `np.interp(x, grid, values)` gives, bit for bit, from
+    Python floats: a bisection on the grid, then numpy's slope formula and
+    its edge rules (the end values outside the grid, the grid value on a grid
+    point, NaN for NaN, except on a one-point grid).
+    """
 
     grid: np.ndarray        # strictly increasing 1-D grid
     values: np.ndarray
@@ -99,11 +106,30 @@ class Realization:
         object.__setattr__(self, "values", values)
         if grid.size != values.size:
             raise SchemaError("grid and values must align")
+        if grid.size == 0:
+            raise SchemaError("grid needs at least one point")
         if np.any(np.diff(grid) <= 0):
             raise SchemaError("grid must be strictly increasing")
+        object.__setattr__(self, "_xs", grid.tolist())
+        object.__setattr__(self, "_ys", values.tolist())
 
     def __call__(self, x: float) -> float:
-        return np.interp(float(x), self.grid, self.values)
+        x = float(x)
+        xs, ys = self._xs, self._ys
+        j = bisect_right(xs, x) - 1  # xs[j] <= x < xs[j + 1]
+        if x != x and len(xs) > 1:
+            return x
+        if j < 0:
+            return ys[0]
+        if j >= len(xs) - 1 or xs[j] == x:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        y = slope * (x - xs[j]) + ys[j]
+        if y != y:  # NaN from one side: numpy tries the other
+            y = slope * (x - xs[j + 1]) + ys[j + 1]
+            if y != y and ys[j] == ys[j + 1]:
+                y = ys[j]
+        return y
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:

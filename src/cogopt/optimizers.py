@@ -180,7 +180,7 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5) -> OptResult:
                     if f.remaining < 1:
                         raise BudgetExhausted("line search out of budget")
                     xn = min(max(x + alpha * d, lo), hi)
-                    if np.isclose(xn, x):
+                    if abs(xn - x) <= 1e-8 + 1e-5 * abs(x):  # np.isclose(xn, x)
                         break
                     fn = f(xn)
                     if fn < fx - 1e-4 * abs(alpha) * abs(pg * d):
@@ -288,8 +288,8 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
     f = MeteredObjective(problem, base_state_bytes=16 * popsize)
     lo, hi = problem.bounds
 
-    pop = _uniform(rng, problem.bounds, popsize)
-    fit = np.full(popsize, np.inf)
+    pop = _uniform(rng, problem.bounds, popsize).tolist()
+    fit = [math.inf] * popsize
     for i in range(popsize):
         if f.remaining <= 0:
             return f.result()
@@ -304,12 +304,11 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
             if f.remaining <= 0:
                 break
             if c > 0.0:
-                Fi = float(np.clip(Fm + 0.1 * rng.standard_normal(), 0.0, 2.0))
-                CRi = float(np.clip(CRm + 0.1 * rng.standard_normal(), 0.0, 1.0))
+                Fi = min(max(Fm + 0.1 * rng.standard_normal(), 0.0), 2.0)
+                CRi = min(max(CRm + 0.1 * rng.standard_normal(), 0.0), 1.0)
             else:
                 Fi, CRi = Fm, CRm
-            r = _distinct(rng, popsize, i, 5)
-            a, b, cc, d, e = (pop[j] for j in r)
+            a, b, cc, d, e = (pop[j] for j in _distinct(rng, popsize, i, 5))
             best = pop[ibest]
             if strategy == 1:
                 mutant = a + Fi * (b - cc)
@@ -340,10 +339,14 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
 
 
 def _distinct(rng, popsize, exclude, k):
-    idx = [j for j in range(popsize) if j != exclude]
-    picks = list(rng.permutation(idx))
+    """k indices other than `exclude`, from permutations of the other popsize - 1.
+
+    Permuting range(popsize - 1) and shifting the indices at or above `exclude`
+    draws from `rng` exactly as permuting the list of the other indices does.
+    """
+    picks: list[int] = []
     while len(picks) < k:  # small populations: reuse indices rather than abort
-        picks += list(rng.permutation(idx))
+        picks += [j + (j >= exclude) for j in rng.permutation(popsize - 1).tolist()]
     return picks[:k]
 
 

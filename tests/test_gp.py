@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
@@ -506,3 +507,33 @@ class TestRealization:
     def test_grid_must_increase(self):
         with pytest.raises(SchemaError):
             gp.Realization(grid=[0.0, 0.0, 1.0], values=[1.0, 2.0, 3.0], seed=0)
+
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(SchemaError):
+            gp.Realization(grid=[], values=[], seed=0)
+
+
+@st.composite
+def curves_and_points(draw):
+    """A realization, and points on its grid, next to them, between, outside and NaN."""
+    grid = np.sort(draw(hnp.arrays(float, st.integers(1, 10), unique=True,
+                                   elements=st.floats(-1e6, 1e6, allow_subnormal=False))))
+    # infinite and equal neighbours reach numpy's second-chance slope rules
+    values = draw(hnp.arrays(float, grid.size, elements=st.one_of(
+        st.floats(-1e6, 1e6), st.sampled_from([-np.inf, np.inf, np.nan, 0.0, 1.0]))))
+    x = draw(st.sampled_from(grid))
+    points = [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+              grid[0] - draw(st.floats(0.0, 1e6)), grid[-1] + draw(st.floats(0.0, 1e6)),
+              draw(st.floats(grid[0], grid[-1])), np.nan, -np.inf, np.inf]
+    return gp.Realization(grid=grid, values=values, seed=0), points
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=curves_and_points())
+def test_realization_equals_np_interp_bit_for_bit(case):
+    r, points = case
+    for x in points:
+        got, want = r(x), np.interp(float(x), r.grid, r.values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes(), (x, got, want)
+

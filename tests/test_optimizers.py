@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
@@ -204,6 +204,29 @@ class TestDifferentialEvolution:
         res = opt.differential_evolution(problem(sphere, SYM, 25), 1, strategy=strategy)
         assert res.evals_used == 25
         assert np.all(np.diff(res.trace) <= 0)
+
+
+def _distinct_by_list_permutation(rng, popsize, exclude, k):
+    """The reference construction: permutations of the list of the other indices."""
+    idx = [j for j in range(popsize) if j != exclude]
+    picks = list(rng.permutation(idx))
+    while len(picks) < k:
+        picks += list(rng.permutation(idx))
+    return picks[:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), popsize=st.integers(4, 12),
+       exclude=st.integers(0, 11), k=st.integers(1, 12))
+@example(seed=0, popsize=4, exclude=3, k=5)  # k > popsize - 1 takes a second permutation
+@example(seed=0, popsize=4, exclude=0, k=5)
+def test_distinct_draws_as_the_list_permutation(seed, popsize, exclude, k):
+    exclude %= popsize
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = opt._distinct(got_rng, popsize, exclude, k)
+    want = _distinct_by_list_permutation(want_rng, popsize, exclude, k)
+    assert got == [int(j) for j in want]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestKrigingSBO:
