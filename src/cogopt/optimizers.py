@@ -194,7 +194,9 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5) -> OptResult:
                 del pairs[:-lmm]
                 x, fx, g = xn, fn, gn
     except BudgetExhausted:
-        pass
+        # a gradient needs two evaluations; a lone last one starts a fresh point
+        if f.remaining > 0:
+            f(_uniform(rng, problem.bounds))
     return f.result()
 
 
@@ -293,7 +295,8 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
     for i in range(popsize):
         if f.remaining <= 0:
             return f.result()
-        fit[i] = f(pop[i])
+        y = f(pop[i])
+        fit[i] = y if y == y else math.inf  # a NaN fitness ranks worst
 
     Fm, CRm = F, CR
     ibest = int(np.argmin(fit))  # the running best member's slot
@@ -325,7 +328,7 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
             rng.uniform()
             trial = min(max(mutant if CRi > 0.0 else pop[i], lo), hi)
             ft = f(trial)
-            if ft <= fit[i]:
+            if ft <= fit[i]:  # never for a NaN trial, so fit holds no NaN
                 pop[i] = trial
                 fit[i] = ft
                 if ft < fit[ibest]:

@@ -113,6 +113,13 @@ class TestHillClimber:
         assert all(0.0 <= x <= 1.0 for x in seen)
         assert abs(res.best_x - 0.3) < 1e-3
 
+    @pytest.mark.parametrize("budget", [13, 16, 20])
+    def test_last_evaluation_is_spent_on_a_fresh_point(self, budget):
+        # seed 0 on the sphere ends these budgets with one evaluation left,
+        # too few for a gradient stencil
+        res = opt.hill_climber(problem(sphere, SYM, budget), 0)
+        assert res.evals_used == budget
+
     def test_invalid_lmm(self):
         with pytest.raises(ConfigError):
             opt.hill_climber(problem(sphere, UNIT, 10), 0, lmm=0)
@@ -198,6 +205,20 @@ class TestDifferentialEvolution:
                                    F=1.0, CR=1.0, c=0.0)
         assert xs[4] != xs[1]
         assert xs[5] == xs[4]
+
+    def test_nan_fitness_ranks_worst(self):
+        # NaN on part of the range: a NaN member must neither lead the
+        # population nor keep its slot against a finite trial
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return float("nan") if x > 0.5 else (x - 0.3) ** 2
+
+        best = [opt.differential_evolution(problem(f, UNIT, 60), s).best_y for s in range(20)]
+        assert all(0.0 <= x <= 1.0 for x in seen)
+        assert sum(x > 0.5 for x in seen) < 0.25 * len(seen)
+        assert np.median(best) < 1e-6
 
     @pytest.mark.parametrize("strategy", [1, 2, 3, 4, 5])
     def test_all_strategies_run(self, strategy):
@@ -372,7 +393,7 @@ class TestKrigingSBO:
 )
 def test_trace_monotone_and_budget_respected(algo, seed, budget):
     res = opt.run_optimizer(algo, problem(sphere, SYM, budget), seed)
-    assert res.evals_used <= budget
+    assert res.evals_used == budget
     assert len(res.trace) == res.evals_used
     assert np.all(np.diff(res.trace) <= 0)
     assert res.best_y == res.trace[-1]
