@@ -106,7 +106,10 @@ class VpsSimulator(PlantAdapter):
 
     def ground_truth(self, x: float) -> float:
         """Noise-free weighted aggregate; the landscape the optimizers chase."""
-        return float(sum(w * c(x) for w, c in zip(self.weights, self._curves)))
+        y = 0.0
+        for w, c in zip(self.weights, self._curves):
+            y += w * c(x)  # left to right: sum() compensates Python floats from 3.12 on
+        return y
 
     def ground_truth_objective(self):
         return self.ground_truth
