@@ -536,4 +536,3 @@ def test_realization_equals_np_interp_bit_for_bit(case):
         got, want = r(x), np.interp(float(x), r.grid, r.values)
         assert type(got) is float
         assert np.float64(got).tobytes() == want.tobytes(), (x, got, want)
-

@@ -100,6 +100,12 @@ class TestGroundTruth:
         diff = max(abs(a.ground_truth(x) - b.ground_truth(x)) for x in xs)
         assert diff > 0
 
+    def test_is_the_plain_left_to_right_weighted_sum(self, plant):
+        # sum() would compensate the rounding of Python floats from 3.12 on
+        (w0, w1, w2), (c0, c1, c2) = plant.weights, plant._curves
+        for x in np.linspace(*DEFAULT_BOUNDS, 50):
+            assert plant.ground_truth(x) == w0 * c0(x) + w1 * c1(x) + w2 * c2(x)
+
     def test_objective_callable_is_the_ground_truth(self, plant):
         f = plant.ground_truth_objective()
         assert f(3000.0) == pytest.approx(plant.ground_truth(3000.0))
