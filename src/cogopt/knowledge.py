@@ -16,10 +16,12 @@ benchmarked the algorithm.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 
 import yaml
 
+from . import optimizers
 from .errors import ConfigError, ParseError, SchemaError, UnknownAlgorithm, UnknownGoal
 
 KB_VERSION_KEY = "caai_kb_version"
@@ -252,13 +254,14 @@ def _parse_entry(name, block) -> AlgorithmEntry:
     for key, value in DESIGNATIONS.items():
         if block.get(key, value) != value:
             raise SchemaError(f"{what}: {key!r} must be {value!r}, got {block[key]!r}")
-    params = tuple(
-        _parse_parameter(pname, pblock)
-        for pname, pblock in (block.get("parameter") or {}).items()
-    )
+    pblocks = block.get("parameter") or {}
+    runner = optimizers._RUNNERS.get(name)
+    if runner is not None:  # an entry naming no runner fails when it runs
+        _mapping(f"{what} parameter", pblocks, set(),
+                 set(inspect.signature(runner).parameters) - {"problem", "seed"})
     return AlgorithmEntry(
         name=name,
-        parameters=params,
+        parameters=tuple(_parse_parameter(pname, pblock) for pname, pblock in pblocks.items()),
         metadata=_parse_metadata(name, block["metadata"]),
     )
 
@@ -422,7 +425,7 @@ def default_kb() -> KnowledgeBase:
 
     entries = {
         "RandomSearch": entry("RandomSearch", "Baseline", ()),
-        "HillClimber": entry("HillClimber", "HillClimber", (i("lmm", 5, 1, 20),)),
+        "HillClimber": entry("HillClimber", "HillClimber", ()),
         "GeneralizedSA": entry(
             "GeneralizedSA", "Trajectory",
             (r("temp", 100.0, 1.0, 10000.0), r("qv", 2.5, 1.01, 2.99), r("qa", -1.0, -5.0, 0.0)),
@@ -430,7 +433,7 @@ def default_kb() -> KnowledgeBase:
         "DifferentialEvolution": entry(
             "DifferentialEvolution", "Population",
             (i("popsize", 5, 4, 50), i("strategy", 2, 1, 5),
-             r("F", 0.8, 0.0, 2.0), r("CR", 0.5, 0.0, 1.0), r("c", 0.5, 0.0, 1.0)),
+             r("F", 0.8, 0.0, 2.0), r("c", 0.5, 0.0, 1.0)),
         ),
         "KrigingSBO": entry(
             "KrigingSBO", "Surrogate",

@@ -1,14 +1,14 @@
 """The black-box optimizer portfolio behind a single run interface.
 
 Five bounded minimizers of an objective of the plant's one parameter:
-uniform random sampling (the baseline), a limited-memory quasi-Newton hill
-climber with finite-difference gradients and random restarts, generalized
-simulated annealing with a Tsallis visiting distribution, classic
-differential evolution with optional self-adaptation, and Kriging-based
-surrogate optimization driven by expected improvement.  Every run is a pure function of (problem, seed, params): the
-metering wrapper counts evaluations, enforces bounds and budget, and tracks
-the best-so-far trace, per-evaluation CPU time, and deterministic
-state-size-based memory accounting.
+uniform random sampling (the baseline), a secant-step hill climber with
+finite-difference gradients and restarts, generalized simulated annealing
+with a Tsallis visiting law, differential evolution whose trial is the
+clipped mutant (in one dimension binomial crossover always takes it), and
+Kriging-based surrogate optimization by expected improvement.  Each run is a
+pure function of (problem, seed, params), its keyword params being those a KB
+entry may declare; the metering wrapper counts evaluations, enforces bounds
+and budget, and tracks the best-so-far trace, CPU time and state-size memory.
 """
 
 from __future__ import annotations
@@ -128,7 +128,9 @@ def random_search(problem: OptProblem, seed: int) -> OptResult:
 
 
 # ---------------------------------------------------------------------------
-# Limited-memory quasi-Newton hill climber
+# Quasi-Newton hill climber
+
+_CURVATURE_PAIRS = 5  # the curvature pairs (s, y) a descent keeps
 
 
 def _fd_gradient(f: MeteredObjective, x: float, h: float) -> float:
@@ -143,16 +145,14 @@ def _fd_gradient(f: MeteredObjective, x: float, h: float) -> float:
     return (f(a) - f(b)) / (a - b)
 
 
-def hill_climber(problem: OptProblem, seed: int, lmm: int = 5) -> OptResult:
-    """Bounded L-BFGS descent with random restarts from uniform points.
+def hill_climber(problem: OptProblem, seed: int) -> OptResult:
+    """Bounded quasi-Newton descent with random restarts from uniform points.
 
-    In one dimension the L-BFGS two-loop recursion collapses to a secant
-    step over the last `lmm` curvature pairs (see `_secant_direction`).
+    In one dimension the L-BFGS two-loop recursion collapses to the secant
+    step of the newest positive-curvature pair (see `_secant_direction`).
     """
-    if lmm < 1:
-        raise ConfigError("lmm must be >= 1")
     rng = np.random.default_rng(seed)
-    f = MeteredObjective(problem, base_state_bytes=8 * (2 * lmm + 4))
+    f = MeteredObjective(problem, base_state_bytes=8 * (2 * _CURVATURE_PAIRS + 4))
     lo, hi = problem.bounds
     h = 1e-6 * (hi - lo)
     gtol = 1e-9 * max(1.0, hi - lo)
@@ -162,7 +162,7 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5) -> OptResult:
             x = _uniform(rng, problem.bounds)
             fx = f(x)
             g = _fd_gradient(f, x, h)
-            pairs: list[tuple[float, float]] = []  # the last lmm curvature pairs (s, y)
+            pairs: list[tuple[float, float]] = []  # the newest curvature pairs (s, y)
             # a non-finite gradient gives no direction; restart from a fresh point
             while f.remaining > 0 and math.isfinite(g):
                 # projected gradient: zero where it pushes outside
@@ -191,7 +191,7 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5) -> OptResult:
                     break  # no descent step found; restart
                 gn = _fd_gradient(f, xn, h)
                 pairs.append((xn - x, gn - g))
-                del pairs[:-lmm]
+                del pairs[:-_CURVATURE_PAIRS]
                 x, fx, g = xn, fn, gn
     except BudgetExhausted:
         # a gradient needs two evaluations; a lone last one starts a fresh point
@@ -203,8 +203,8 @@ def hill_climber(problem: OptProblem, seed: int, lmm: int = 5) -> OptResult:
 def _secant_direction(g: float, pairs) -> float:
     """The two-loop recursion's direction in one dimension, in closed form.
 
-    The newest pair (s, y) with s * y > 1e-16 gives the secant step -g * s / y.
-    With none, -g is scaled by the newest pair's s * y / (y * y), if any.
+    The newest pair (s, y) with s * y > 1e-16 gives -g * s / y; older pairs
+    change nothing.  With none, -g is scaled by the newest pair's s * y / (y * y).
     """
     for s, y in reversed(pairs):
         if s * y > 1e-16:
@@ -251,8 +251,12 @@ def generalized_sa(problem: OptProblem, seed: int, temp: float = 100.0,
         u = rng.standard_normal()
         g = rng.gamma(df / 2.0, 2.0)
         step = u / math.sqrt(max(g / df, 1e-300))
-        width = tv ** (1.0 / (3.0 - qv))
-        xn = _reflect(x + step * width * span, lo, hi)
+        try:
+            xn = _reflect(x + step * tv ** (1.0 / (3.0 - qv)) * span, lo, hi)
+        except OverflowError:
+            xn = math.nan
+        if xn != xn:  # a visit too wide for a float would fold to anywhere: land uniformly
+            xn = _uniform(rng, problem.bounds)
         fn = f(xn)
         if fn <= fx:
             x, fx = xn, fn
@@ -278,14 +282,13 @@ def gsa_acceptance_probability(delta: float, temp_visit: float, t: int, qa: floa
 
 
 def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
-                           strategy: int = 2, F: float = 0.8, CR: float = 0.5,
-                           c: float = 0.5) -> OptResult:
+                           strategy: int = 2, F: float = 0.8, c: float = 0.5) -> OptResult:
     if popsize < 4:
         raise ConfigError("popsize must be >= 4 (mutation needs 3 distinct others)")
     if strategy not in (1, 2, 3, 4, 5):
         raise ConfigError("strategy must be in {1..5}")
-    if not (0.0 <= F <= 2.0) or not (0.0 <= CR <= 1.0) or not (0.0 <= c <= 1.0):
-        raise ConfigError("F in [0,2], CR in [0,1], c in [0,1]")
+    if not (0.0 <= F <= 2.0) or not (0.0 <= c <= 1.0):
+        raise ConfigError("F in [0,2], c in [0,1]")
     rng = np.random.default_rng(seed)
     f = MeteredObjective(problem, base_state_bytes=16 * popsize)
     lo, hi = problem.bounds
@@ -298,19 +301,13 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
         y = f(pop[i])
         fit[i] = y if y == y else math.inf  # a NaN fitness ranks worst
 
-    Fm, CRm = F, CR
     ibest = int(np.argmin(fit))  # the running best member's slot
     while f.remaining > 0:
         succ_F: list[float] = []
-        succ_CR: list[float] = []
         for i in range(popsize):
             if f.remaining <= 0:
                 break
-            if c > 0.0:
-                Fi = min(max(Fm + 0.1 * rng.standard_normal(), 0.0), 2.0)
-                CRi = min(max(CRm + 0.1 * rng.standard_normal(), 0.0), 1.0)
-            else:
-                Fi, CRi = Fm, CRm
+            Fi = min(max(F + 0.1 * rng.standard_normal(), 0.0), 2.0) if c > 0.0 else F
             a, b, cc, d, e = (pop[j] for j in _distinct(rng, popsize, i, 5))
             best = pop[ibest]
             if strategy == 1:
@@ -323,10 +320,7 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
                 mutant = best + Fi * (a - b + cc - d)
             else:
                 mutant = a + Fi * (b - cc + d - e)
-            # binomial crossover of one coordinate: CR > 0 forces the mutant's;
-            # its uniform draw is still made, so seeded runs keep their stream
-            rng.uniform()
-            trial = min(max(mutant if CRi > 0.0 else pop[i], lo), hi)
+            trial = min(max(mutant, lo), hi)
             ft = f(trial)
             if ft <= fit[i]:  # never for a NaN trial, so fit holds no NaN
                 pop[i] = trial
@@ -334,10 +328,8 @@ def differential_evolution(problem: OptProblem, seed: int, popsize: int = 5,
                 if ft < fit[ibest]:
                     ibest = i
                 succ_F.append(Fi)
-                succ_CR.append(CRi)
         if c > 0.0 and succ_F:
-            Fm = (1.0 - c) * Fm + c * float(np.mean(succ_F))
-            CRm = (1.0 - c) * CRm + c * float(np.mean(succ_CR))
+            F = (1.0 - c) * F + c * float(np.mean(succ_F))  # self-adaptation
     return f.result()
 
 

@@ -104,12 +104,15 @@ class VpsSimulator(PlantAdapter):
             curves.append(gp.simulate_conditional(model, grid, seed=derive_seed(self.seed, 0, k)))
         return tuple(curves)
 
+    def _aggregate(self, fs) -> float:
+        y = 0.0  # left to right: sum() compensates Python floats from 3.12 on
+        for w, f in zip(self.weights, fs):
+            y += w * f
+        return y
+
     def ground_truth(self, x: float) -> float:
         """Noise-free weighted aggregate; the landscape the optimizers chase."""
-        y = 0.0
-        for w, c in zip(self.weights, self._curves):
-            y += w * c(x)  # left to right: sum() compensates Python floats from 3.12 on
-        return y
+        return self._aggregate([c(x) for c in self._curves])
 
     def ground_truth_objective(self):
         return self.ground_truth
@@ -125,7 +128,7 @@ class VpsSimulator(PlantAdapter):
         record = ProductionCycleRecord(
             x=x,
             f1=fs[0], f2=fs[1], f3=fs[2],
-            aggregate=float(sum(w * f for w, f in zip(self.weights, fs))),
+            aggregate=self._aggregate(fs),
             timestamp=time.time(),
             cycle=len(self._records) + 1,
         )

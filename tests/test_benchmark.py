@@ -83,10 +83,10 @@ class TestTuneThenBenchmark:
 
     def test_tuning_budget_one_takes_single_sample(self):
         S = bm.generate_test_functions(make_dataset(), 2)
-        specs = (ParameterSpec("lmm", "integer", 5, 1, 20),)
-        records = self.run(S, algo="HillClimber", specs=specs, tuning_budget=1)
-        expected = int(np.random.default_rng(bm.derive_seed(0, 0xB)).integers(1, 21))
-        assert records[0].tuned_params == {"lmm": expected}
+        specs = (ParameterSpec("temp", "real", 100.0, 1.0, 10000.0),)
+        records = self.run(S, algo="GeneralizedSA", specs=specs, tuning_budget=1)
+        expected = float(np.random.default_rng(bm.derive_seed(0, 0xB)).uniform(1.0, 10000.0))
+        assert records[0].tuned_params == {"temp": expected}
 
     def test_one_record_at_the_bench_budget(self):
         S = bm.generate_test_functions(make_dataset(), 2)
@@ -202,7 +202,7 @@ class TestPearson:
 
 
 class TestCampaign:
-    PIPELINES = [("RandomSearch", {}), ("HillClimber", {"lmm": 5})]
+    PIPELINES = [("RandomSearch", {}), ("HillClimber", {})]
 
     def objectives(self):
         S = bm.generate_test_functions(make_dataset(), 2, master_seed=3)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cogopt import cognition, report
 from cogopt.cli import RunConfig, default_config_doc, load_config, main
 from cogopt.knowledge import load_kb
+from cogopt.optimizers import ALGORITHMS
 
 
 @pytest.fixture()
@@ -254,6 +255,24 @@ class TestErrors:
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
         assert res.exit_code == 2
         assert f"algorithm 'RandomSearch': {key!r}" in res.output
+
+    @pytest.mark.parametrize("command", [["run", "--cycles", "1"], ["benchmark"]])
+    @pytest.mark.parametrize("name, param, block", [
+        ("HillClimber", "lmm", {"type": "int", "default": 5, "min": 1, "max": 20}),
+        ("DifferentialEvolution", "CR", {"type": "real", "default": 0.5, "min": 0.0, "max": 1.0}),
+    ] + [(name, "foo", {"type": "real", "default": 0.5, "min": 0.0, "max": 1.0})
+         for name in ALGORITHMS])
+    def test_parameter_the_optimizer_does_not_take_is_refused(self, runner, tmp_path, command,
+                                                              name, param, block):
+        # an older kb.yaml may still declare HillClimber's lmm or DifferentialEvolution's CR
+        cfg = write_project(tmp_path)
+        kb = tmp_path / "kb.yaml"
+        doc = yaml.safe_load(kb.read_text())
+        doc["Optimization"]["minimize"]["mean"]["Algorithms"][name]["parameter"][param] = block
+        kb.write_text(yaml.safe_dump(doc))
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o")] + command)
+        assert res.exit_code == 2, res.output
+        assert f"algorithm {name!r} parameter: unknown key(s) [{param!r}]" in res.output
 
     @pytest.mark.parametrize("command", ["run", "benchmark"])
     @pytest.mark.parametrize("goal, named", [({"overall_goal": "AnomalyDetection"}, "AnomalyDetection"),

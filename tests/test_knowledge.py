@@ -1,3 +1,4 @@
+import inspect
 import re
 import string
 from dataclasses import fields, replace
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogopt import optimizers
 from cogopt.errors import ConfigError, SchemaError, UnknownAlgorithm, UnknownGoal
 from cogopt.knowledge import (
     AGGREGATIONS,
@@ -388,4 +390,34 @@ def test_default_kb_contents():
     assert kriging.defaults["designSize"] == 7
     assert kriging.metadata.min_training_data == 5
     de = entries["DifferentialEvolution"]
-    assert de.defaults == {"popsize": 5, "strategy": 2, "F": 0.8, "CR": 0.5, "c": 0.5}
+    assert de.defaults == {"popsize": 5, "strategy": 2, "F": 0.8, "c": 0.5}
+
+
+DEFAULT_ENTRIES = default_kb().entries_for(GOAL.path)
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_ENTRIES))
+def test_default_entry_declares_its_runners_keyword_parameters(name):
+    signature = inspect.signature(optimizers._RUNNERS[name]).parameters
+    keywords = {n for n, p in signature.items() if p.default is not p.empty}
+    assert {p.name for p in DEFAULT_ENTRIES[name].parameters} == keywords
+
+
+def values(p: ParameterSpec):
+    if p.kind == "categorical":
+        return st.sampled_from(p.categories)
+    if p.kind == "integer":
+        return st.integers(p.min, p.max)
+    return st.floats(p.min, p.max)
+
+
+@pytest.mark.parametrize("name", [n for n, e in DEFAULT_ENTRIES.items() if e.parameters])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_declared_value_runs_at_budget_36(name, data):
+    # tuning skips a sampled configuration that raises, so a range the runner
+    # refuses would only shrink the search, silently
+    params = data.draw(st.fixed_dictionaries(
+        {p.name: values(p) for p in DEFAULT_ENTRIES[name].parameters}))
+    problem = optimizers.OptProblem(lambda x: (x - 0.3) ** 2, (0.0, 1.0), 36)
+    assert optimizers.run_optimizer(name, problem, 0, params).evals_used == 36

@@ -120,9 +120,9 @@ class TestHillClimber:
         res = opt.hill_climber(problem(sphere, SYM, budget), 0)
         assert res.evals_used == budget
 
-    def test_invalid_lmm(self):
-        with pytest.raises(ConfigError):
-            opt.hill_climber(problem(sphere, UNIT, 10), 0, lmm=0)
+    def test_state_bytes_count_five_curvature_pairs(self):
+        res = opt.hill_climber(problem(sphere, UNIT, 10), 0)
+        assert set(res.mem_trace.tolist()) == {8 * (2 * 5 + 4)}
 
 
 class TestGeneralizedSA:
@@ -157,6 +157,19 @@ class TestGeneralizedSA:
         with pytest.raises(ConfigError):
             opt.generalized_sa(problem(sphere, UNIT, 10), 0, temp=-1.0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_visit_too_wide_for_a_float_lands_in_bounds(self, seed):
+        # at qv near 3 the visit width tv ** (1 / (3 - qv)) overflows a float
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return sphere(x)
+
+        res = opt.generalized_sa(problem(f, SYM, 36), seed, temp=1e4, qv=2.99)
+        assert res.evals_used == 36
+        assert all(-1.0 <= x <= 1.0 for x in seen)
+
     def test_reflection_stays_in_bounds(self):
         lo, hi = 0.0, 1.0
         rng = np.random.default_rng(3)
@@ -169,7 +182,7 @@ class TestGeneralizedSA:
 class TestDifferentialEvolution:
     def test_degenerate_operators_freeze_population(self):
         res = opt.differential_evolution(problem(sphere, SYM, 40), 7,
-                                         popsize=5, F=0.0, CR=0.0, c=0.0)
+                                         popsize=5, F=0.0, c=0.0)
         # after the 5 initial samples the best never improves
         assert np.all(res.trace[4:] == res.trace[4])
 
@@ -202,7 +215,7 @@ class TestDifferentialEvolution:
         monkeypatch.setattr(opt, "_distinct",
                             lambda rng, popsize, i, k: [2, 3, 2, 3, 2] if i == 0 else [0] * k)
         opt.differential_evolution(problem(f, SYM, 6), 0, popsize=4, strategy=2,
-                                   F=1.0, CR=1.0, c=0.0)
+                                   F=1.0, c=0.0)
         assert xs[4] != xs[1]
         assert xs[5] == xs[4]
 
