@@ -1,13 +1,17 @@
 """Tune-then-benchmark campaigns with resource metering, ranks, and statistics.
 
-Every run derives its RNG seed from (master seed, algorithm index, instance
-index, rep), so serial and parallel schedules produce identical records
-(CPU time excepted, being wall-clock dependent).
+`run_campaign` is the one routine that benchmarks: the standalone campaign
+runs it on k instances, and the selection cycle's `tune_then_benchmark` on
+the instance it did not tune on.  Every run derives its RNG seed from
+(master seed, pipeline index, instance index, rep), so serial and parallel
+schedules produce identical records (CPU time excepted, being wall-clock
+dependent).
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -15,16 +19,14 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import gp, optimizers
-from .errors import (
-    ConfigError,
-    DegenerateInput,
-    DuplicatePipelineInGroup,
-    InstanceSetTooSmall,
-    RECOVERABLE,
-)
+from .errors import RECOVERABLE, ConfigError, DegenerateInput, DuplicatePipelineInGroup
 from .knowledge import ParameterSpec
 
+log = logging.getLogger("cogopt.benchmark")
+
 DEFAULT_CHECKPOINTS = (6, 12, 18, 24, 30, 36)
+# the third seed key of a tuning stream; run_campaign puts the instance index there
+_TUNE_DRAW, _TUNE_RUN = 0xB, 0xC
 
 
 @dataclass(frozen=True)
@@ -111,52 +113,47 @@ def _sample_params(rng, specs: tuple[ParameterSpec, ...]) -> dict:
     return out
 
 
+def _tune(algorithm: str, specs: tuple[ParameterSpec, ...], objective, bounds,
+          tuning_budget: int, budget: int, seed: int, index: int) -> dict:
+    """The best of `tuning_budget` sampled configurations, each scored by one run."""
+    if not specs:
+        return {}
+    rng = np.random.default_rng(derive_seed(seed, index, _TUNE_DRAW))
+    tuned, best = {}, np.inf
+    for j in range(tuning_budget):
+        params = _sample_params(rng, specs)
+        try:
+            res = run_single(algorithm, objective, bounds, budget,
+                             derive_seed(seed, index, _TUNE_RUN, j), params)
+        except RECOVERABLE as exc:  # an infeasible sampled config just scores nothing
+            log.info("tuning %s: skipped %s: %s", algorithm, params, exc)
+            continue
+        if res.best_y < best:
+            best, tuned = res.best_y, params
+    return tuned
+
+
 def tune_then_benchmark(
-    algorithm: str,
-    param_specs: tuple[ParameterSpec, ...],
-    S: tuple[gp.Realization, ...],
+    candidates: list[tuple[str, tuple[ParameterSpec, ...]]],
+    tune_on,
+    bench_on,
     bounds,
     tuning_budget: int,
     bench_budget: int,
-    tune_idx: int,
-    bench_idx: int,
     reps: int = 10,
     seed: int = 0,
 ) -> list[EvaluationRecord]:
-    """Random-search tuning on instance `tune_idx`, metered benchmarking on `bench_idx`.
-
-    Tuning samples `tuning_budget` configurations (each scored by one seeded
-    run on the tuning instance); the winner is then run `reps` times on the
-    benchmark instance and averaged into one record at `bench_budget`.
-    Pipelines benchmarked against each other share the two indices, so their
-    records fall into the same rank groups.
+    """Tune each (algorithm, parameter specs) candidate on `tune_on`, then
+    benchmark the tuned pipelines in one `run_campaign` on `bench_on`, named
+    "instance-1": one record per pipeline at `bench_budget`, averaged over
+    `reps`.  Candidate i's benchmark runs are keyed (seed, i, 0, rep), its
+    tuning streams (seed, i, _TUNE_DRAW) and (seed, i, _TUNE_RUN, j).
     """
-    if len(S) < 2:
-        raise InstanceSetTooSmall("need >= 2 instances to tune and benchmark separately")
-    if tune_idx == bench_idx:
-        raise InstanceSetTooSmall("tuning and benchmark instances must differ")
-    rng = np.random.default_rng(derive_seed(seed, 0xB))
-
-    tuned = {}
-    if param_specs:
-        best_score = np.inf
-        for j in range(tuning_budget):
-            params = _sample_params(rng, param_specs)
-            try:
-                res = run_single(algorithm, S[tune_idx], bounds, bench_budget,
-                                 derive_seed(seed, 1, j), params)
-            except RECOVERABLE:
-                continue  # an infeasible sampled config just scores nothing
-            if res.best_y < best_score:
-                best_score = res.best_y
-                tuned = params
-
-    runs = [
-        run_single(algorithm, S[bench_idx], bounds, bench_budget,
-                   derive_seed(seed, 2, rep), tuned)
-        for rep in range(reps)
-    ]
-    return _average_checkpoints(algorithm, f"instance-{bench_idx}", runs, (bench_budget,), tuned)
+    pipelines = [(algorithm, _tune(algorithm, specs, tune_on, bounds, tuning_budget,
+                                   bench_budget, seed, i))
+                 for i, (algorithm, specs) in enumerate(candidates)]
+    return run_campaign(pipelines, {"instance-1": bench_on}, bounds, bench_budget,
+                        checkpoints=(bench_budget,), reps=reps, master_seed=seed)
 
 
 def run_campaign(

@@ -31,7 +31,7 @@ from .errors import (
     UnknownGoal,
 )
 from .knowledge import GoalSpec, KnowledgeBase, default_kb, load_kb, save_kb
-from .plant import DEFAULT_BOUNDS, VpsSimulator
+from .plant import DEFAULT_BOUNDS, VpsSimulator, check_weights
 from .rating import RatingWeights
 
 CONFIG_ERRORS = (ConfigError, SchemaError, ConstraintViolation, ParseError, FileNotFoundError,
@@ -53,6 +53,9 @@ class PlantConfig:
     weights: tuple[float, ...] = (1.0 / 3, 1.0 / 3, 1.0 / 3)
     seed: int = 0
     seed_data: str | None = None
+
+    def __post_init__(self):
+        check_weights(self.weights)  # the loader prefixes the section: "plant.weights: ..."
 
 
 @dataclass(frozen=True)

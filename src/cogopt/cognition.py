@@ -7,6 +7,9 @@ when the stagnation trigger fired), extracts the winning algorithm's
 parameter proposal from a surrogate of the real process, applies it to the
 plant only when it differs from the current setting by at least `epsilon`,
 ingests new production data, and re-evaluates the stagnation trigger.
+A selection cycle draws two instances from a GP of the process data, tunes
+each candidate on one and benchmarks them all on the other through
+`benchmark.run_campaign`, rates them, and updates the knowledge base.
 The loop minimizes the goal's sign times the aggregate, so a maximize goal
 maximizes it.
 """
@@ -43,7 +46,6 @@ class CognitionConfig:
     theta: int = 5                   # selection step size (cycles)
     epsilon: float | None = None     # application threshold; None -> 1% of range
     weights: RatingWeights = field(default_factory=RatingWeights)
-    k_instances: int = 5
     tuning_budget: int = 5
     bench_budget: int = 36
     reps: int = 10
@@ -61,8 +63,6 @@ class CognitionConfig:
             raise SchemaError("theta: the selection step size must be >= 2")
         if self.epsilon is not None and self.epsilon < 0:
             raise SchemaError("epsilon: must be >= 0")
-        if self.k_instances < 2:
-            raise SchemaError("k_instances: must be >= 2")
         if self.reps < 1:
             raise SchemaError("reps: must be >= 1")
         if self.design_reps < 1:
@@ -147,25 +147,14 @@ def run_selection_cycle(
 
     cycle_seed = derive_seed(config.master_seed, 0xC, state.iteration)
     data = _dataset(state, bounds, goal.sign)
-    S = generate_test_functions(data, config.k_instances, master_seed=cycle_seed)
-
-    # one shared instance draw per cycle so all pipelines are comparable
-    draw = np.random.default_rng(derive_seed(cycle_seed, 0xD))
-    tune_idx = int(draw.integers(config.k_instances))
-    others = [i for i in range(config.k_instances) if i != tune_idx]
-    bench_idx = others[int(draw.integers(len(others)))]
-
-    records = []
-    for i, entry in enumerate(candidates):
-        records.extend(tune_then_benchmark(
-            entry.name, entry.parameters, S, bounds,
-            tuning_budget=config.tuning_budget,
-            bench_budget=config.bench_budget,
-            reps=config.reps,
-            seed=derive_seed(cycle_seed, i),
-            tune_idx=tune_idx,
-            bench_idx=bench_idx,
-        ))
+    tune_on, bench_on = generate_test_functions(data, 2, master_seed=cycle_seed)
+    records = tune_then_benchmark(
+        [(entry.name, entry.parameters) for entry in candidates], tune_on, bench_on, bounds,
+        tuning_budget=config.tuning_budget,
+        bench_budget=config.bench_budget,
+        reps=config.reps,
+        seed=cycle_seed,
+    )
     state.e.extend(records)
 
     table, p_best, updates = rate_pipelines(records, baseline.name, config.weights)

@@ -39,10 +39,6 @@ class OutOfBounds(CogoptError):
     """A point lies outside the declared box bounds."""
 
 
-class InstanceSetTooSmall(CogoptError):
-    """Tuning and benchmarking need at least two distinct instances."""
-
-
 class DuplicatePipelineInGroup(CogoptError):
     """A (instance, budget) rank group contains a pipeline twice."""
 

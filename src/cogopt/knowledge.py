@@ -196,12 +196,13 @@ _SCALARS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
             float: ((int, float), "a number"), str: ((str,), "a string"), list: ((list,), "a list")}
 
 
-def _mapping(what: str, block, required: set, optional: set) -> dict:
-    """`block` if it is a mapping holding every `required` key and no unknown one."""
+def _mapping(what: str, block, required: set, optional: set | None) -> dict:
+    """`block` if it is a mapping holding every `required` key and no unknown one;
+    `optional` None admits any other key."""
     if not isinstance(block, dict):
         raise SchemaError(f"{what}: not a mapping")
-    for problem, keys in (("missing", required - set(block)),
-                          ("unknown key(s)", set(block) - required - optional)):
+    unknown = set() if optional is None else set(block) - required - optional
+    for problem, keys in (("missing", required - set(block)), ("unknown key(s)", unknown)):
         if keys:
             raise SchemaError(f"{what}: {problem} {sorted(map(str, keys))}")
     return block
@@ -254,11 +255,10 @@ def _parse_entry(name, block) -> AlgorithmEntry:
     for key, value in DESIGNATIONS.items():
         if block.get(key, value) != value:
             raise SchemaError(f"{what}: {key!r} must be {value!r}, got {block[key]!r}")
-    pblocks = block.get("parameter") or {}
     runner = optimizers._RUNNERS.get(name)
-    if runner is not None:  # an entry naming no runner fails when it runs
-        _mapping(f"{what} parameter", pblocks, set(),
-                 set(inspect.signature(runner).parameters) - {"problem", "seed"})
+    # an entry naming no runner fails when it runs, so it may name any parameter
+    takes = None if runner is None else set(inspect.signature(runner).parameters) - {"problem", "seed"}
+    pblocks = _mapping(f"{what} parameter", block.get("parameter") or {}, set(), takes)
     return AlgorithmEntry(
         name=name,
         parameters=tuple(_parse_parameter(pname, pblock) for pname, pblock in pblocks.items()),

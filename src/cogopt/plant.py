@@ -64,6 +64,13 @@ def load_seed_dataset(path=None) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in rows[1:]])
 
 
+def check_weights(weights) -> None:
+    """One positive weight per objective curve, summing to 1."""
+    if len(weights) != 3:
+        raise SchemaError(f"weights: need one per objective (3), got {len(weights)}")
+    validate_weights(weights)
+
+
 class VpsSimulator(PlantAdapter):
     """Versatile-production-system stand-in with a three-objective trade-off."""
 
@@ -75,7 +82,7 @@ class VpsSimulator(PlantAdapter):
         bounds: tuple[float, float] = DEFAULT_BOUNDS,
         seed_data_path=None,
     ):
-        validate_weights(weights)
+        check_weights(weights)
         if noise_sd < 0:
             raise SchemaError("noise_sd must be >= 0")
         self.weights = tuple(float(w) for w in weights)

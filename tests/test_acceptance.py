@@ -200,7 +200,7 @@ def test_07_control_flow(monkeypatch):
 
 def test_08_knowledge_update_round_trip():
     plant = VpsSimulator(noise_sd=0.02, seed=0)
-    cfg = CognitionConfig(s=6, theta=3, k_instances=3, tuning_budget=2,
+    cfg = CognitionConfig(s=6, theta=3, tuning_budget=2,
                           bench_budget=12, reps=2, master_seed=0)
     state = bootstrap(CognitionState(), plant, cfg)
     kb = run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
@@ -223,7 +223,7 @@ def test_09_determinism(tmp_path):
     assert res.exit_code == 0, res.output
     doc = default_config_doc()
     doc["cycles"] = 2
-    doc["cognition"].update(s=6, theta=3, k_instances=3, tuning_budget=2,
+    doc["cognition"].update(s=6, theta=3, tuning_budget=2,
                             bench_budget=12, reps=2, design_reps=1)
     cfg = tmp_path / "config.yaml"
     cfg.write_text(yaml.safe_dump(doc))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,12 +8,7 @@ from hypothesis import strategies as st
 
 from cogopt import benchmark as bm
 from cogopt import gp, optimizers
-from cogopt.errors import (
-    ConfigError,
-    DegenerateInput,
-    DuplicatePipelineInGroup,
-    InstanceSetTooSmall,
-)
+from cogopt.errors import ConfigError, DegenerateInput, DuplicatePipelineInGroup
 from cogopt.knowledge import ParameterSpec
 from cogopt.rating import RatingWeights, rate_pipelines
 
@@ -58,47 +54,55 @@ class TestGenerateTestFunctions:
 
 
 class TestTuneThenBenchmark:
-    def run(self, S, algo="RandomSearch", specs=(), **kw):
+    def run(self, candidates=(("RandomSearch", ()),), **kw):
         kw.setdefault("tuning_budget", 2)
         kw.setdefault("bench_budget", 12)
         kw.setdefault("reps", 2)
-        kw.setdefault("tune_idx", 0)
-        kw.setdefault("bench_idx", 1)
-        return bm.tune_then_benchmark(algo, tuple(specs), S, BOUNDS, **kw)
-
-    def test_single_instance_rejected(self):
-        S = bm.generate_test_functions(make_dataset(), 1)
-        with pytest.raises(InstanceSetTooSmall):
-            self.run(S)
-
-    def test_equal_indices_rejected(self):
-        S = bm.generate_test_functions(make_dataset(), 3)
-        with pytest.raises(InstanceSetTooSmall):
-            self.run(S, tune_idx=1, bench_idx=1)
+        tune_on, bench_on = bm.generate_test_functions(make_dataset(), 2)
+        return bm.tune_then_benchmark(list(candidates), tune_on, bench_on, BOUNDS, **kw)
 
     def test_no_parameters_means_no_tuning(self):
-        S = bm.generate_test_functions(make_dataset(), 2)
-        records = self.run(S)
+        records = self.run()
         assert all(r.tuned_params == {} for r in records)
 
     def test_tuning_budget_one_takes_single_sample(self):
-        S = bm.generate_test_functions(make_dataset(), 2)
         specs = (ParameterSpec("temp", "real", 100.0, 1.0, 10000.0),)
-        records = self.run(S, algo="GeneralizedSA", specs=specs, tuning_budget=1)
-        expected = float(np.random.default_rng(bm.derive_seed(0, 0xB)).uniform(1.0, 10000.0))
-        assert records[0].tuned_params == {"temp": expected}
+        records = self.run([("GeneralizedSA", specs)], tuning_budget=1)
+        draw = np.random.default_rng(bm.derive_seed(0, 0, bm._TUNE_DRAW))
+        assert records[0].tuned_params == {"temp": float(draw.uniform(1.0, 10000.0))}
 
     def test_one_record_at_the_bench_budget(self):
-        S = bm.generate_test_functions(make_dataset(), 2)
-        assert [r.budget for r in self.run(S, bench_budget=36)] == [36]
+        assert [r.budget for r in self.run(bench_budget=36)] == [36]
 
-    def test_shared_indices_put_records_in_one_group(self):
-        S = bm.generate_test_functions(make_dataset(), 4)
-        a = self.run(S, tune_idx=0, bench_idx=2)
-        b = bm.tune_then_benchmark("RandomSearch", (), S, BOUNDS,
-                                   tuning_budget=2, bench_budget=12, reps=2,
-                                   tune_idx=0, bench_idx=2)
-        assert {r.instance for r in a} == {r.instance for r in b} == {"instance-2"}
+    def test_records_are_one_campaign_of_the_tuned_pipelines(self):
+        specs = (ParameterSpec("temp", "real", 100.0, 1.0, 10000.0),)
+        candidates = [("RandomSearch", ()), ("GeneralizedSA", specs), ("HillClimber", ())]
+        records = self.run(candidates, tuning_budget=3, seed=7)
+        assert [r.pipeline for r in records] == [name for name, _ in candidates]
+        assert {r.instance for r in records} == {"instance-1"}
+        _, bench_on = bm.generate_test_functions(make_dataset(), 2)
+        pipelines = [(r.pipeline, r.tuned_params) for r in records]
+        campaign = bm.run_campaign(pipelines, {"instance-1": bench_on}, BOUNDS, 12,
+                                   checkpoints=(12,), reps=2, master_seed=7)
+        strip = lambda r: (r.pipeline, r.instance, r.budget, r.best_y, r.memory_bytes,
+                           r.tuned_params)
+        assert list(map(strip, records)) == list(map(strip, campaign))
+
+    def test_a_refused_configuration_is_logged_and_skipped(self, monkeypatch, caplog):
+        def picky(problem, seed, temp):
+            if temp > 5000.0:
+                raise ConfigError(f"temp {temp} too hot")
+            return optimizers.random_search(problem, seed)
+
+        monkeypatch.setitem(optimizers._RUNNERS, "Picky", picky)
+        caplog.set_level(logging.INFO, logger="cogopt.benchmark")
+        specs = (ParameterSpec("temp", "real", 100.0, 1.0, 10000.0),)
+        records = self.run([("Picky", specs)], tuning_budget=20)
+        logged = [r for r in caplog.records if r.name == "cogopt.benchmark"]
+        assert logged and {r.levelno for r in logged} == {logging.INFO}
+        assert all("Picky" in r.getMessage() and "temp" in r.getMessage()
+                   and "too hot" in r.getMessage() for r in logged)
+        assert len(logged) < 20 and records[0].tuned_params["temp"] <= 5000.0
 
 
 class TestRankAlgorithms:

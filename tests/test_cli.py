@@ -29,7 +29,7 @@ def write_project(directory: Path, **overrides) -> Path:
     assert res.exit_code == 0, res.output
     doc = default_config_doc()
     doc["cycles"] = 2
-    doc["cognition"].update(s=6, theta=3, k_instances=3, tuning_budget=2,
+    doc["cognition"].update(s=6, theta=3, tuning_budget=2,
                             bench_budget=12, reps=2, design_reps=1)
     doc["campaign"].update(budget=12, checkpoints=[6, 12], reps=2, k_instances=2)
     for key, value in overrides.items():
@@ -315,6 +315,8 @@ class TestErrors:
         ("cognition", {"sim_method": "decomposition"}, "cognition.sim_method"),
         ("cognition", {"reps": 0}, "cognition.reps"),
         ("cognition", {"design_reps": 0}, "cognition.design_reps"),
+        ("cognition", {"k_instances": 5}, "cognition.k_instances"),
+        ("plant", {"weights": [0.5, 0.5]}, "plant.weights"),
         ("goal", {"direction": "sideways"}, "goal.direction"),
         ("campaign", {"checkpoints": [24, 36]}, "campaign.checkpoints"),
         ("cycles", -1, "cycles"),

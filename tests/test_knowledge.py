@@ -169,6 +169,15 @@ class TestParsing:
         with pytest.raises(SchemaError, match=re.escape(repr(key))):
             parse_kb(KB_DOC.replace(old, new))
 
+    @pytest.mark.parametrize("name", ["Kriging", "KrigingSBO"])
+    def test_parameter_block_must_be_a_mapping(self, name):
+        # Kriging names no runner, KrigingSBO does: both are refused alike
+        block = KB_DOC[KB_DOC.index("          parameter:"):KB_DOC.index("          metadata:")]
+        doc = KB_DOC.replace(block, "          parameter: [designSize]\n").replace(
+            "        Kriging:", f"        {name}:")
+        with pytest.raises(SchemaError, match=f"algorithm '{name}' parameter: not a mapping"):
+            parse_kb(doc)
+
     def test_output_may_be_left_out(self):
         doc = KB_DOC.replace("          output: parameter proposal\n", "")
         assert "output" not in doc

@@ -32,6 +32,11 @@ class TestConstruction:
         with pytest.raises(ConstraintViolation):
             VpsSimulator(weights=(1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
+    def test_one_weight_per_objective(self, weights):
+        with pytest.raises(SchemaError, match=f"got {len(weights)}"):
+            VpsSimulator(weights=weights, noise_sd=0.0)
+
     def test_negative_noise(self):
         with pytest.raises(SchemaError):
             VpsSimulator(noise_sd=-0.1)
