@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import gp, optimizers
-from .errors import RECOVERABLE, ConfigError, DegenerateInput, DuplicatePipelineInGroup
+from .errors import (CogoptError, ConfigError, DegenerateInput, DuplicatePipelineInGroup,
+                     MalformedInput)
 from .knowledge import ParameterSpec
 
 log = logging.getLogger("cogopt.benchmark")
@@ -125,7 +126,7 @@ def _tune(algorithm: str, specs: tuple[ParameterSpec, ...], objective, bounds,
         try:
             res = run_single(algorithm, objective, bounds, budget,
                              derive_seed(seed, index, _TUNE_RUN, j), params)
-        except RECOVERABLE as exc:  # an infeasible sampled config just scores nothing
+        except CogoptError as exc:  # an infeasible sampled config just scores nothing
             log.info("tuning %s: skipped %s: %s", algorithm, params, exc)
             continue
         if res.best_y < best:
@@ -286,17 +287,26 @@ def records_to_csv(records: list[EvaluationRecord], path) -> None:
 
 
 def records_from_csv(path) -> list[EvaluationRecord]:
-    from .errors import MalformedInput
+    """The records of a `records_to_csv` file; a cell that is not a number is refused
+    with `MalformedInput` naming the file, the line and the column."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(CSV_FIELDS) <= set(reader.fieldnames):
             raise MalformedInput(f"{path}: expected columns {CSV_FIELDS}")
+
+        def number(row, column, kind=float):
+            try:
+                return kind(row[column])
+            except (TypeError, ValueError):  # TypeError: a short row's missing cell
+                raise MalformedInput(f"{path}, line {reader.line_num}, column {column}: "
+                                     f"not a number: {row[column]!r}") from None
+
         for row in reader:
             records.append(EvaluationRecord(
                 pipeline=row["pipeline"], instance=row["instance"],
-                budget=int(row["budget"]), best_y=float(row["best_y"]),
-                cpu_time=float(row["cpu_time"]), memory_bytes=float(row["memory_bytes"]),
-                rank=float(row["rank"]) if row["rank"] else None,
+                budget=number(row, "budget", int), best_y=number(row, "best_y"),
+                cpu_time=number(row, "cpu_time"), memory_bytes=number(row, "memory_bytes"),
+                rank=number(row, "rank") if row["rank"] else None,
             ))
     return records

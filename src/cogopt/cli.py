@@ -21,21 +21,12 @@ import click
 import yaml
 
 from . import benchmark, cognition, gp, report
-from .errors import (
-    CogoptError,
-    ConfigError,
-    ConstraintViolation,
-    MalformedInput,
-    ParseError,
-    SchemaError,
-    UnknownGoal,
-)
+from .errors import CogoptError, ConfigError, MalformedInput, ParseError, SchemaError, UnknownGoal
 from .knowledge import GoalSpec, KnowledgeBase, default_kb, load_kb, save_kb
-from .plant import DEFAULT_BOUNDS, VpsSimulator, check_weights
-from .rating import RatingWeights
+from .plant import DEFAULT_BOUNDS, VpsSimulator
+from .rating import validate_weights
 
-CONFIG_ERRORS = (ConfigError, SchemaError, ConstraintViolation, ParseError, FileNotFoundError,
-                 UnknownGoal)
+CONFIG_ERRORS = (ConfigError, SchemaError, ParseError, FileNotFoundError, UnknownGoal)
 
 
 def _setup_logging():
@@ -50,17 +41,21 @@ def _setup_logging():
 class PlantConfig:
     bounds: tuple[float, float] = DEFAULT_BOUNDS
     noise_sd: float = 0.02
-    weights: tuple[float, ...] = (1.0 / 3, 1.0 / 3, 1.0 / 3)
+    weights: tuple[float, float, float] = (1.0 / 3, 1.0 / 3, 1.0 / 3)
     seed: int = 0
     seed_data: str | None = None
 
     def __post_init__(self):
-        check_weights(self.weights)  # the loader prefixes the section: "plant.weights: ..."
+        validate_weights("weights", self.weights)  # the loader prefixes "plant."
 
 
 @dataclass(frozen=True)
 class RatingConfig:
     scenarios: tuple[tuple[float, float, float], ...] = ((0.8, 0.1, 0.1), (0.5, 0.25, 0.25))
+
+    def __post_init__(self):
+        for i, weights in enumerate(self.scenarios):
+            validate_weights(f"scenarios[{i}]", weights)
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,6 @@ class RunConfig:
 
 
 def _to_doc(value):
-    if isinstance(value, RatingWeights):
-        return list(value.as_tuple())
     if dataclasses.is_dataclass(value):
         return {f.name: _to_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, tuple):
@@ -143,9 +136,7 @@ def _overlay(obj, doc, prefix: str = ""):
         if key not in hints or prefix + key == "cognition.resources":  # set at top level
             raise ConfigError(f"{prefix}{key}: unknown key (`cogopt init` writes every key)")
         old = getattr(obj, key)
-        if isinstance(old, RatingWeights):
-            changes[key] = RatingWeights(*_check(tuple[float, float, float], value, prefix + key))
-        elif dataclasses.is_dataclass(old):
+        if dataclasses.is_dataclass(old):
             changes[key] = _overlay(old, value, f"{prefix}{key}.")
         else:
             changes[key] = _check(hints[key], value, prefix + key)
@@ -157,7 +148,7 @@ def _overlay(obj, doc, prefix: str = ""):
 
 def override(cfg: RunConfig, doc) -> RunConfig:
     """`cfg` with a mapping in the config file's layout laid over it: the field tree, except
-    that `cognition.resources` is the top-level `resources` section and `RatingWeights` a 3-list."""
+    that `cognition.resources` is the top-level `resources` section."""
     if isinstance(doc, dict) and "resources" in doc:
         doc = dict(doc)
         res = _overlay(cfg.cognition.resources, doc.pop("resources"), "resources.")
@@ -348,7 +339,7 @@ def report_cmd(ctx, records_csv):
         records = benchmark.records_from_csv(records_csv)
         if not records:
             raise MalformedInput(f"{records_csv}: no records")
-        for i, (rw, table, p_best) in enumerate(
+        for i, (_, table, p_best) in enumerate(
             report.scenario_tables(records, cfg.rating.scenarios), start=1
         ):
             report.write_scenario_csv(table, out / f"scenario_{i}.csv")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gp, optimizers
 from .benchmark import EvaluationRecord, derive_seed, generate_test_functions, tune_then_benchmark
-from .errors import RECOVERABLE, ConfigError, SchemaError, UnknownGoal
+from .errors import CogoptError, ConfigError, SchemaError, UnknownGoal
 from .knowledge import (
     GoalSpec,
     KnowledgeBase,
@@ -35,7 +35,7 @@ from .knowledge import (
     update_characteristics,
 )
 from .plant import PlantAdapter, ProductionCycleRecord
-from .rating import RatingTable, RatingWeights, rate_pipelines
+from .rating import RatingTable, rate_pipelines, validate_weights
 
 log = logging.getLogger("cogopt.cognition")
 
@@ -45,13 +45,12 @@ class CognitionConfig:
     s: int = 12                      # initial design size
     theta: int = 5                   # selection step size (cycles)
     epsilon: float | None = None     # application threshold; None -> 1% of range
-    weights: RatingWeights = field(default_factory=RatingWeights)
+    weights: tuple[float, float, float] = (0.8, 0.1, 0.1)  # rating (objective, memory, cpu)
     tuning_budget: int = 5
     bench_budget: int = 36
     reps: int = 10
     stagnation_delta: float = 0.01
     master_seed: int = 0
-    design_kind: str = "full_factorial"
     design_reps: int = 1
     resources: ResourceBudget = field(default_factory=ResourceBudget)
 
@@ -67,6 +66,7 @@ class CognitionConfig:
             raise SchemaError("reps: must be >= 1")
         if self.design_reps < 1:
             raise SchemaError("design_reps: must be >= 1")
+        validate_weights("weights", self.weights)
 
     def resolved_epsilon(self, bounds) -> float:
         if self.epsilon is not None:
@@ -90,24 +90,16 @@ class CognitionState:
     log_entries: list[dict] = field(default_factory=list)
 
 
-def create_initial_design(s: int, bounds, kind: str = "full_factorial", seed: int = 0) -> np.ndarray:
-    """`s` settings of the plant's one parameter within `bounds` = (lo, hi):
-    equidistant by default, LHS optional."""
+def create_initial_design(s: int, bounds) -> np.ndarray:
+    """`s` equidistant settings of the plant's one parameter within `bounds` = (lo, hi)."""
     lo, hi = np.asarray(bounds, dtype=float).reshape(2)
-    if kind == "full_factorial":
-        return np.linspace(lo, hi, s)
-    if kind == "lhs":
-        rng = np.random.default_rng(seed)
-        return optimizers.latin_hypercube(rng, (lo, hi), s)
-    raise SchemaError(f"unknown design kind {kind!r}")
+    return np.linspace(lo, hi, s)
 
 
 def bootstrap(state: CognitionState, plant: PlantAdapter,
               config: CognitionConfig) -> CognitionState:
     """Fill the data list by applying the initial design."""
-    design = create_initial_design(config.s, plant.bounds, config.design_kind,
-                                   seed=config.master_seed)
-    for point in design:
+    for point in create_initial_design(config.s, plant.bounds):
         for _ in range(config.design_reps):
             plant.apply(float(point))
         state.x = float(point)
@@ -167,7 +159,7 @@ def run_selection_cycle(
             kb = update_characteristics(
                 kb, goal.path, up.algorithm, up.performance, up.computational_effort, up.ram_usage
             )
-        except RECOVERABLE as exc:
+        except CogoptError as exc:
             log.warning("KB update for %s failed: %s", up.algorithm, exc)
     return kb
 
@@ -196,7 +188,7 @@ def get_best_x(
             state.tuned[p_best]
         )
         return res.best_x
-    except RECOVERABLE as exc:
+    except CogoptError as exc:
         log.warning("proposal search failed (%s); keeping current x", exc)
         return state.x
 
@@ -218,7 +210,7 @@ def step(
             selection_ran = True
         except (UnknownGoal, ConfigError):
             raise  # a goal or setting the loop cannot serve fails every cycle alike
-        except RECOVERABLE as exc:
+        except CogoptError as exc:
             log.error("selection cycle failed: %s", exc)
 
     x_best = get_best_x(state.p_best, state, config, bounds, goal.sign)
@@ -229,7 +221,7 @@ def step(
             plant.apply(x_best)
             state.x = x_best
             applied = True
-        except RECOVERABLE as exc:
+        except CogoptError as exc:
             log.error("plant application failed: %s", exc)
 
     new = plant.receive_new_data(state.last_cycle)

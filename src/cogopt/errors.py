@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the package."""
 
-import numpy as np
-
 
 class CogoptError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    The loop and the tuner log a CogoptError and go on; any other error propagates.
+    """
 
 
 class ParseError(CogoptError):
@@ -51,13 +52,6 @@ class MissingBaseline(CogoptError):
     """A rating group lacks the baseline record it must be compared against."""
 
 
-class ConstraintViolation(CogoptError):
-    """Weights violate the positivity/sum-to-one constraints."""
-
-
 class MalformedInput(CogoptError):
-    """A report input file exists but does not have the expected columns."""
+    """A report input file exists but lacks the expected columns or numbers."""
 
-
-# failures the loop and the tuner log and survive; any other error propagates
-RECOVERABLE = (CogoptError, np.linalg.LinAlgError)

@@ -28,7 +28,7 @@ KB_VERSION_KEY = "caai_kb_version"
 KB_VERSION = 1
 
 OVERALL_GOALS = ("Optimization", "AnomalyDetection", "ConditionMonitoring", "PredictiveMaintenance")
-AGGREGATIONS = ("mean", "delta", "min", "max", "value")
+AGGREGATIONS = ("mean",)  # the plant computes one aggregate, its weighted mean
 DIRECTIONS = ("minimize", "maximize")
 # YAML spelling of a parameter type -> ParameterSpec kind; dump_kb writes each kind's first spelling
 PARAM_TYPES = {"int": "integer", "integer": "integer", "real": "real", "float": "real",
@@ -54,7 +54,8 @@ class GoalSpec:
         if not self.signals:
             raise SchemaError("signals: a goal needs at least one signal")
         if self.aggregation not in AGGREGATIONS:
-            raise SchemaError(f"aggregation: unknown aggregation {self.aggregation!r}")
+            raise SchemaError(f"aggregation: must be one of {list(AGGREGATIONS)}, "
+                              f"got {self.aggregation!r}")
         if self.direction not in DIRECTIONS:
             raise SchemaError(f"direction: unknown direction {self.direction!r}")
 

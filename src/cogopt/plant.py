@@ -64,13 +64,6 @@ def load_seed_dataset(path=None) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in rows[1:]])
 
 
-def check_weights(weights) -> None:
-    """One positive weight per objective curve, summing to 1."""
-    if len(weights) != 3:
-        raise SchemaError(f"weights: need one per objective (3), got {len(weights)}")
-    validate_weights(weights)
-
-
 class VpsSimulator(PlantAdapter):
     """Versatile-production-system stand-in with a three-objective trade-off."""
 
@@ -82,7 +75,7 @@ class VpsSimulator(PlantAdapter):
         bounds: tuple[float, float] = DEFAULT_BOUNDS,
         seed_data_path=None,
     ):
-        check_weights(weights)
+        validate_weights("weights", weights)  # one per objective curve
         if noise_sd < 0:
             raise SchemaError("noise_sd must be >= 0")
         self.weights = tuple(float(w) for w in weights)

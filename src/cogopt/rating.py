@@ -11,33 +11,25 @@ feed back into the knowledge base as dynamic algorithm characteristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .benchmark import EvaluationRecord
-from .errors import ConstraintViolation, MissingBaseline
+from .errors import MissingBaseline, SchemaError
 
 
-@dataclass(frozen=True)
-class RatingWeights:
-    w_objective: float = 0.8
-    w_memory: float = 0.1
-    w_cpu: float = 0.1
-
-    def __post_init__(self):
-        validate_weights((self.w_objective, self.w_memory, self.w_cpu))
-
-    def as_tuple(self):
-        return (self.w_objective, self.w_memory, self.w_cpu)
-
-
-def validate_weights(weights) -> None:
+def validate_weights(name: str, weights) -> None:
+    """Every weight triple, the rating's (objective, memory, cpu) and the plant's
+    per-curve weights alike: three positive numbers summing to 1.  The
+    SchemaError starts with `name`, so the config loader can prefix the section."""
     weights = tuple(float(w) for w in weights)
+    if len(weights) != 3:
+        raise SchemaError(f"{name}: need three weights, got {len(weights)}")
     if any(w <= 0.0 for w in weights):
-        raise ConstraintViolation(f"weights must be strictly positive, got {weights}")
+        raise SchemaError(f"{name}: must be strictly positive, got {weights}")
     if abs(sum(weights) - 1.0) > 1e-9:
-        raise ConstraintViolation(f"weights must sum to 1, got sum {sum(weights)}")
+        raise SchemaError(f"{name}: must sum to 1, got sum {sum(weights)}")
 
 
 @dataclass(frozen=True)
@@ -99,17 +91,20 @@ def _mean_rows(rowlist: list[dict]) -> dict[str, float]:
     return {k: float(np.mean([r[k] for r in rowlist])) for k in rowlist[0]}
 
 
-# the normalized scores of a pipeline that never improved on the baseline
-_ELIMINATED = {"norm_obj": 0.0, "norm_mem": 0.0, "norm_cpu": 0.0, "aggregate": 0.0}
+# the norms of a pipeline in a group where it did not improve on the baseline
+_ELIMINATED = {"norm_obj": 0.0, "norm_mem": 0.0, "norm_cpu": 0.0}
 
 
 def rate_pipelines(
     records: list[EvaluationRecord],
     baseline_id: str,
-    weights: RatingWeights,
+    weights: tuple[float, float, float],
 ):
     """Returns (RatingTable, p_best or None, list of KbUpdate).
 
+    `weights` is the (objective, memory, cpu) triple.  A competitor that
+    improved on the baseline in some group survives and is rated by its mean
+    over those groups; any other is eliminated with zero norms and aggregate.
     The baseline is never a survivor candidate.  KB updates cover every
     benchmarked pipeline (baseline included) using norms over the whole
     field, so eliminated algorithms still receive their characteristics.
@@ -118,65 +113,47 @@ def rate_pipelines(
     for rec in records:
         groups.setdefault((rec.instance, rec.budget), {})[rec.pipeline] = rec
 
-    per_pipeline: dict[str, list[dict]] = {}
-    raw_per_pipeline: dict[str, list[dict]] = {}
-    update_rows: dict[str, list[dict]] = {}
+    w_obj, w_mem, w_cpu = weights
+    # per pipeline, one (rating row, survived, whole-field norms) per group it ran in
+    rows: dict[str, list[tuple[dict, bool, dict]]] = {}
     for key, group in groups.items():
         if baseline_id not in group:
             raise MissingBaseline(f"group {key} lacks baseline {baseline_id!r}")
-        rows = _raw_rows(group, baseline_id)
-        for pid, row in rows.items():
-            raw_per_pipeline.setdefault(pid, []).append(row)
-        # survivor normalization: competitors that actually improved
-        surv = [pid for pid, r in rows.items() if pid != baseline_id and r["improvement"] > 0.0]
-        for p, norms in _normalize(rows, surv).items():
-            agg = (weights.w_objective * norms["norm_obj"] + weights.w_memory * norms["norm_mem"]
-                   + weights.w_cpu * norms["norm_cpu"])
-            per_pipeline.setdefault(p, []).append({**rows[p], **norms, "aggregate": agg})
-        # whole-field normalization feeds the knowledge-base update
-        for p, norms in _normalize(rows, list(rows)).items():
-            update_rows.setdefault(p, []).append(norms)
-        for p in rows:
-            per_pipeline.setdefault(p, [])
+        raw = _raw_rows(group, baseline_id)
+        surv_norms = _normalize(raw, [p for p, r in raw.items()
+                                      if p != baseline_id and r["improvement"] > 0.0])
+        field_norms = _normalize(raw, list(raw))
+        for p, row in raw.items():
+            n = surv_norms.get(p, _ELIMINATED)
+            agg = w_obj * n["norm_obj"] + w_mem * n["norm_mem"] + w_cpu * n["norm_cpu"]
+            rows.setdefault(p, []).append(
+                ({**row, **n, "aggregate": agg}, p in surv_norms, field_norms[p]))
 
     ratings: dict[str, PipelineRating] = {}
-    survivors = []
     eliminated = []
-    for pid, rowlist in per_pipeline.items():
-        if pid == baseline_id:
+    for p, prows in rows.items():
+        if p == baseline_id:
             continue
-        if rowlist:
-            survivors.append(pid)
-        else:
-            rowlist = [{**r, **_ELIMINATED} for r in raw_per_pipeline[pid]]
-            eliminated.append(pid)
-        ratings[pid] = PipelineRating(pipeline=pid, **_mean_rows(rowlist))
+        kept = [row for row, survived, _ in prows if survived]
+        if not kept:
+            eliminated.append(p)
+        ratings[p] = PipelineRating(pipeline=p, **_mean_rows(kept or [row for row, _, _ in prows]))
 
     # rank survivors: larger aggregate first; ties favor frugal resource use
-    order = sorted(
-        survivors,
-        key=lambda p: (-ratings[p].aggregate, ratings[p].cpu_ratio, ratings[p].mem_ratio, p),
-    )
-    for i, pid in enumerate(order, start=1):
-        ratings[pid] = PipelineRating(**{**ratings[pid].__dict__, "rank": float(i)})
-
-    table = RatingTable(
-        ratings=ratings,
-        survivors=tuple(order),
-        eliminated=tuple(sorted(eliminated)),
-    )
-    p_best = order[0] if order else None
+    order = sorted((p for p in ratings if p not in eliminated),
+                   key=lambda p: (-ratings[p].aggregate, ratings[p].cpu_ratio,
+                                  ratings[p].mem_ratio, p))
+    for i, p in enumerate(order, start=1):
+        ratings[p] = replace(ratings[p], rank=float(i))
 
     updates = []
-    for pid, rowlist in update_rows.items():
-        mean = _mean_rows(rowlist)
-        updates.append(KbUpdate(
-            algorithm=pid,
-            performance=mean["norm_obj"],
-            computational_effort=1.0 - mean["norm_cpu"],
-            ram_usage=1.0 - mean["norm_mem"],
-        ))
-    return table, p_best, updates
+    for p, prows in rows.items():
+        mean = _mean_rows([norms for _, _, norms in prows])
+        updates.append(KbUpdate(algorithm=p, performance=mean["norm_obj"],
+                                computational_effort=1.0 - mean["norm_cpu"],
+                                ram_usage=1.0 - mean["norm_mem"]))
+    table = RatingTable(ratings=ratings, survivors=tuple(order), eliminated=tuple(sorted(eliminated)))
+    return table, order[0] if order else None, updates
 
 
 def _raw_rows(group: dict[str, EvaluationRecord], baseline_id: str) -> dict[str, dict]:

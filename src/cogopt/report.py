@@ -18,7 +18,7 @@ from .errors import MalformedInput
 from .knowledge import KnowledgeBase, compose_pipelines
 from .optimizers import BASELINE
 from .plant import VpsSimulator
-from .rating import RatingWeights, rate_pipelines
+from .rating import rate_pipelines
 
 GROUND_TRUTH = "ground-truth"
 SIM_PREFIX = "sim-"
@@ -79,15 +79,13 @@ def rank_correlation(records: list[EvaluationRecord]) -> benchmark.CorrelationRe
 
 
 def scenario_tables(records: list[EvaluationRecord], scenarios):
-    """Aggregate-rating table per weight scenario, rated on the simulations."""
-    sim_records = [r for r in records if _is_sim(r.instance)]
-    if not sim_records:
-        sim_records = records
+    """(weights, table, p_best) per (objective, memory, cpu) weight scenario, rated on the
+    simulations."""
+    sim_records = [r for r in records if _is_sim(r.instance)] or records
     out = []
     for weights in scenarios:
-        rw = RatingWeights(*weights)
-        table, p_best, _ = rate_pipelines(sim_records, BASELINE, rw)
-        out.append((rw, table, p_best))
+        table, p_best, _ = rate_pipelines(sim_records, BASELINE, weights)
+        out.append((weights, table, p_best))
     return out
 
 
@@ -134,24 +132,10 @@ def summary_text(records: list[EvaluationRecord], scenarios) -> str:
         )
     except MalformedInput as exc:
         lines.append(f"rank correlation unavailable: {exc}")
-    for rw, table, p_best in scenario_tables(records, scenarios):
-        w = rw.as_tuple()
+    for w, table, p_best in scenario_tables(records, scenarios):
         if p_best is None:
             lines.append(f"scenario {w}: empty survivor set (baseline is the fallback)")
         else:
             lines.append(f"scenario {w}: best pipeline {p_best} "
                          f"(aggregate {table.ratings[p_best].aggregate:.3f})")
     return "\n".join(lines)
-
-
-def strip_volatile(entry: dict) -> dict:
-    """Drop wall-clock and CPU-derived keys for determinism comparisons.
-
-    The rating aggregate carries a CPU-weighted component, so it is volatile
-    by construction and dropped alongside the raw cpu/time fields.
-    """
-    return {
-        k: (strip_volatile(v) if isinstance(v, dict) else v)
-        for k, v in entry.items()
-        if "cpu" not in k and "time" not in k and k != "aggregate"
-    }

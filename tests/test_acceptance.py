@@ -23,7 +23,7 @@ from cogopt.cognition import CognitionConfig, CognitionState, bootstrap, run_sel
 from cogopt.knowledge import GoalSpec, default_kb, dump_kb, parse_kb
 from cogopt.optimizers import differential_evolution, hill_climber, random_search, OptProblem
 from cogopt.plant import VpsSimulator
-from cogopt.rating import RatingWeights, rate_pipelines
+from cogopt.rating import rate_pipelines
 
 GOAL = GoalSpec("Optimization", ("f1", "f2", "f3"), "mean", "minimize")
 GOAL_PATH = ("Optimization", "minimize", "mean")
@@ -117,7 +117,7 @@ def test_04_baseline_filtering():
                 rec("Good", 0.5, instance, budget),
                 rec("Worse", 1.5, instance, budget),  # never improves anywhere
             ]
-    table, p_best, _ = rate_pipelines(records, "Base", RatingWeights())
+    table, p_best, _ = rate_pipelines(records, "Base", (0.8, 0.1, 0.1))
     verdict(4, "Worse" in table.eliminated and p_best != "Worse" and p_best == "Good",
             f"non-improving pipeline eliminated (eliminated={list(table.eliminated)}, "
             f"winner={p_best})")
@@ -131,8 +131,8 @@ def test_05_weight_scenarios():
     records = [rec("Base", 1.0, 1.0, 100.0),
                rec("A", 0.6, 3.0, 200.0),
                rec("B", 0.8, 1.5, 100.0)]
-    _, p1, _ = rate_pipelines(records, "Base", RatingWeights(0.8, 0.1, 0.1))
-    _, p2, _ = rate_pipelines(records, "Base", RatingWeights(0.5, 0.25, 0.25))
+    _, p1, _ = rate_pipelines(records, "Base", (0.8, 0.1, 0.1))
+    _, p2, _ = rate_pipelines(records, "Base", (0.5, 0.25, 0.25))
     verdict(5, p1 == "A" and p2 == "B",
             f"objective-heavy weights select {p1}, resource-aware weights select {p2}")
 
@@ -217,6 +217,26 @@ def test_08_knowledge_update_round_trip():
             f"[0,1]; saved knowledge base round-trips losslessly: {round_trip}")
 
 
+def strip_volatile(entry: dict) -> dict:
+    """Drop wall-clock and CPU-derived keys for determinism comparisons.
+
+    The rating aggregate carries a CPU-weighted component, so it is volatile
+    by construction and dropped alongside the raw cpu/time fields.
+    """
+    return {
+        k: (strip_volatile(v) if isinstance(v, dict) else v)
+        for k, v in entry.items()
+        if "cpu" not in k and "time" not in k and k != "aggregate"
+    }
+
+
+def test_strip_volatile_removes_cpu_and_time_keys():
+    entry = {"iteration": 1, "cpu_time": 0.5, "timestamp": 9.0,
+             "ratings": {"A": {"cpu_ratio": 2.0, "aggregate": 0.8, "rank": 1.0}}}
+    # the aggregate mixes in the CPU factor, so it counts as volatile too
+    assert strip_volatile(entry) == {"iteration": 1, "ratings": {"A": {"rank": 1.0}}}
+
+
 def test_09_determinism(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["init", str(tmp_path)])
@@ -234,7 +254,7 @@ def test_09_determinism(tmp_path):
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "run"])
         assert res.exit_code == 0, res.output
         lines = (out / "runlog.jsonl").read_text().splitlines()
-        logs.append([report.strip_volatile(json.loads(l)) for l in lines])
+        logs.append([strip_volatile(json.loads(l)) for l in lines])
     runs_identical = logs[0] == logs[1]
 
     objectives = {

@@ -10,7 +10,7 @@ from cogopt import benchmark as bm
 from cogopt import gp, optimizers
 from cogopt.errors import ConfigError, DegenerateInput, DuplicatePipelineInGroup
 from cogopt.knowledge import ParameterSpec
-from cogopt.rating import RatingWeights, rate_pipelines
+from cogopt.rating import rate_pipelines
 
 BOUNDS = (0.0, 1.0)
 
@@ -255,7 +255,7 @@ class TestCampaign:
         assert len(records) == len(pipelines) * 2
         assert all(r.best_y == c for r in records)
         assert {r.rank for r in records} == {(len(pipelines) + 1) / 2}
-        table, p_best, _ = rate_pipelines(records, optimizers.BASELINE, RatingWeights())
+        table, p_best, _ = rate_pipelines(records, optimizers.BASELINE, (0.8, 0.1, 0.1))
         assert p_best is None and table.survivors == ()
         assert set(table.eliminated) == set(optimizers.ALGORITHMS) - {optimizers.BASELINE}
 

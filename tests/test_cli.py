@@ -190,6 +190,19 @@ class TestReport:
                             (out / "trajectories.csv").read_text()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("column, value", [("budget", "abc"), ("best_y", "n/a"),
+                                               ("rank", "first")])
+    def test_non_numeric_cell_is_a_runtime_error(self, runner, tmp_path, column, value):
+        cfg = write_project(tmp_path)
+        row = {"pipeline": "RandomSearch", "instance": "sim-0", "budget": "12", "best_y": "0.5",
+               "cpu_time": "0.1", "memory_bytes": "64.0", "rank": "1.0", column: value}
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "x"),
+                                   "report", str(bad)])
+        assert res.exit_code == 3, res.output
+        assert f"{bad}, line 2, column {column}: not a number: {value!r}" in res.output
+
     def test_malformed_csv_is_a_runtime_error(self, runner, tmp_path):
         cfg = write_project(tmp_path)
         bad = tmp_path / "bad.csv"
@@ -276,7 +289,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["run", "benchmark"])
     @pytest.mark.parametrize("goal, named", [({"overall_goal": "AnomalyDetection"}, "AnomalyDetection"),
-                                             ({"aggregation": "max"}, "Optimization/minimize/max")])
+                                             ({"aggregation": "max"}, "goal.aggregation")])
     def test_goal_the_kb_cannot_serve_is_refused(self, runner, tmp_path, command, goal, named):
         cfg = write_project(tmp_path, goal=goal)
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), command])
@@ -320,6 +333,10 @@ class TestErrors:
         ("goal", {"direction": "sideways"}, "goal.direction"),
         ("campaign", {"checkpoints": [24, 36]}, "campaign.checkpoints"),
         ("cycles", -1, "cycles"),
+        ("cognition", {"design_kind": "full_factorial"}, "cognition.design_kind"),
+        ("plant", {"weights": [0.5, 0.5, 0.0]}, "plant.weights"),
+        ("cognition", {"weights": [0.5, 0.5, 0.0]}, "cognition.weights"),
+        ("rating", {"scenarios": [[0.8, 0.1, 0.1], [0.5, 0.5, 0.5]]}, "rating.scenarios[1]"),
     ])
     def test_bad_config_value(self, runner, tmp_path, key, value, named):
         cfg = write_project(tmp_path, **{key: value})
@@ -340,11 +357,3 @@ class TestErrors:
         monkeypatch.setenv("CAAI_LOG_LEVEL", "debug")
         res = runner.invoke(main, ["init", str(tmp_path)])
         assert res.exit_code == 0
-
-
-def test_strip_volatile_removes_cpu_and_time_keys():
-    entry = {"iteration": 1, "cpu_time": 0.5, "timestamp": 9.0,
-             "ratings": {"A": {"cpu_ratio": 2.0, "aggregate": 0.8, "rank": 1.0}}}
-    out = report.strip_volatile(entry)
-    # the aggregate mixes in the CPU factor, so it counts as volatile too
-    assert out == {"iteration": 1, "ratings": {"A": {"rank": 1.0}}}

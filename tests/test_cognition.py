@@ -65,6 +65,11 @@ class TestConfig:
             CognitionConfig(reps=0)
         with pytest.raises(SchemaError, match="^design_reps:"):
             CognitionConfig(design_reps=0)
+        with pytest.raises(SchemaError, match="^weights: .*sum to 1"):
+            CognitionConfig(weights=(0.8, 0.2, 0.2))
+
+    def test_rating_weights_defaults(self):
+        assert CognitionConfig().weights == (0.8, 0.1, 0.1)
 
     def test_epsilon_defaults_to_one_percent_of_range(self):
         cfg = CognitionConfig()
@@ -85,15 +90,6 @@ class TestInitialDesign:
         pts = create_initial_design(12, (500.0, 7000.0))
         assert pts.shape == (12,)
         assert len(np.unique(pts)) == 12
-
-    def test_lhs_design(self):
-        pts = create_initial_design(8, (0.0, 1.0), kind="lhs", seed=1)
-        strata = np.floor(pts * 8).astype(int)
-        assert sorted(strata) == list(range(8))
-
-    def test_unknown_kind(self):
-        with pytest.raises(SchemaError):
-            create_initial_design(4, (0.0, 1.0), kind="sobol")
 
 
 class TestBootstrap:
@@ -325,9 +321,10 @@ def test_the_loop_moves_the_setting_in_the_goal_direction(direction):
 def test_a_goal_path_the_kb_lacks_leaves_the_loop():
     plant = ScriptedPlant([1.0])
     state = CognitionState(d=[record(0.2, 1.0, 0), record(0.8, 2.0, 1)], x=0.8)
-    goal = GoalSpec("Optimization", ("f1",), "max", "minimize")
-    with pytest.raises(UnknownGoal, match="max"):
-        step(state, plant, default_kb(), CognitionConfig(), goal)
+    goal = GoalSpec("Optimization", ("f1",), "mean", "maximize")
+    kb = KnowledgeBase(goals={p: e for p, e in default_kb().goals.items() if p != goal.path})
+    with pytest.raises(UnknownGoal, match="maximize"):
+        step(state, plant, kb, CognitionConfig(), goal)
 
 
 @pytest.mark.parametrize("error, leaves", [(ConfigError, True), (UnknownGoal, True),

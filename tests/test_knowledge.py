@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cogopt import optimizers
 from cogopt.errors import ConfigError, SchemaError, UnknownAlgorithm, UnknownGoal
 from cogopt.knowledge import (
-    AGGREGATIONS,
     ALGORITHM_CLASSES,
     DIRECTIONS,
     METADATA_KEYS,
@@ -106,6 +105,12 @@ class TestGoalSpec:
             GoalSpec("Optimize", ("f",), "mean", "minimize")
         with pytest.raises(SchemaError):
             GoalSpec("Optimization", ("f",), "median", "minimize")
+
+    @pytest.mark.parametrize("aggregation", ["delta", "min", "max", "value"])
+    def test_only_the_mean_runs(self, aggregation):
+        # the plant computes one aggregate, the weighted mean of its signals
+        with pytest.raises(SchemaError, match=f"^aggregation: .*{aggregation!r}"):
+            GoalSpec("Optimization", ("f",), aggregation, "minimize")
 
 
 class TestParsing:
@@ -222,7 +227,7 @@ def entries(draw, name):
 @st.composite
 def knowledge_bases(draw):
     paths = draw(st.lists(st.tuples(st.sampled_from(OVERALL_GOALS), st.sampled_from(DIRECTIONS),
-                                    st.sampled_from(AGGREGATIONS)), max_size=3, unique=True))
+                                    st.sampled_from(("mean", "min", "max"))), max_size=3, unique=True))
     return KnowledgeBase(goals={
         path: {name: draw(entries(name)) for name in draw(st.lists(NAMES, max_size=3, unique=True))}
         for path in paths
@@ -264,7 +269,7 @@ class TestCompose:
 
     def test_unknown_goal(self):
         kb = kb_of(entry("Opt"))
-        other = GoalSpec("Optimization", ("f",), "max", "minimize")
+        other = GoalSpec("Optimization", ("f",), "mean", "maximize")
         with pytest.raises(UnknownGoal):
             compose_pipelines(kb, other.path)
 

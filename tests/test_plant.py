@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogopt.errors import ConstraintViolation, OutOfBounds, SchemaError
+from cogopt.errors import OutOfBounds, SchemaError
 from cogopt.plant import DEFAULT_BOUNDS, VpsSimulator, load_seed_dataset
 
 
@@ -29,12 +29,12 @@ class TestSeedDataset:
 
 class TestConstruction:
     def test_invalid_weights(self):
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(SchemaError, match="^weights: .*strictly positive"):
             VpsSimulator(weights=(1.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
     def test_one_weight_per_objective(self, weights):
-        with pytest.raises(SchemaError, match=f"got {len(weights)}"):
+        with pytest.raises(SchemaError, match=f"^weights: need three weights, got {len(weights)}"):
             VpsSimulator(weights=weights, noise_sd=0.0)
 
     def test_negative_noise(self):

@@ -3,12 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogopt.benchmark import EvaluationRecord
-from cogopt.errors import ConstraintViolation, MissingBaseline
-from cogopt.rating import (
-    RatingWeights,
-    rate_pipelines,
-    validate_weights,
-)
+from cogopt.errors import MissingBaseline, SchemaError
+from cogopt.rating import rate_pipelines, validate_weights
+
+PAPER = (0.8, 0.1, 0.1)
+RESOURCE_AWARE = (0.5, 0.25, 0.25)
 
 
 def rec(pipeline, best_y, cpu, mem, instance="i0", budget=36):
@@ -30,26 +29,25 @@ def forced_fixture():
 
 class TestWeights:
     def test_paper_scenario_ok(self):
-        validate_weights((0.8, 0.1, 0.1))
+        validate_weights("weights", PAPER)
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(ConstraintViolation):
-            validate_weights((1.0, 0.0, 0.0))
+        with pytest.raises(SchemaError, match="^weights: .*strictly positive"):
+            validate_weights("weights", (1.0, 0.0, 0.0))
 
     def test_sum_must_be_one(self):
-        with pytest.raises(ConstraintViolation):
-            validate_weights((0.5, 0.3, 0.3))
+        with pytest.raises(SchemaError, match=r"^scenarios\[1\]: .*sum to 1"):
+            validate_weights("scenarios[1]", (0.5, 0.3, 0.3))
 
-    def test_rating_weights_defaults(self):
-        w = RatingWeights()
-        assert w.as_tuple() == (0.8, 0.1, 0.1)
-        with pytest.raises(ConstraintViolation):
-            RatingWeights(0.9, 0.2, 0.1)
+    @pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
+    def test_exactly_three(self, weights):
+        with pytest.raises(SchemaError, match=f"^weights: need three weights, got {len(weights)}"):
+            validate_weights("weights", weights)
 
 
 class TestRatePipelines:
     def test_forced_arithmetic_scenario_one(self):
-        table, p_best, _ = rate_pipelines(forced_fixture(), "Base", RatingWeights(0.8, 0.1, 0.1))
+        table, p_best, _ = rate_pipelines(forced_fixture(), "Base", PAPER)
         a, b = table.ratings["A"], table.ratings["B"]
         assert (a.norm_obj, a.norm_mem, a.norm_cpu) == (1.0, 0.0, 0.0)
         assert (b.norm_obj, b.norm_mem, b.norm_cpu) == (0.0, 1.0, 1.0)
@@ -58,7 +56,7 @@ class TestRatePipelines:
         assert p_best == "A"
 
     def test_forced_arithmetic_scenario_two_tie_breaks_on_cpu(self):
-        table, p_best, _ = rate_pipelines(forced_fixture(), "Base", RatingWeights(0.5, 0.25, 0.25))
+        table, p_best, _ = rate_pipelines(forced_fixture(), "Base", RESOURCE_AWARE)
         assert table.ratings["A"].aggregate == pytest.approx(0.5)
         assert table.ratings["B"].aggregate == pytest.approx(0.5)
         assert p_best == "B"  # smaller cpu_ratio wins the tie
@@ -69,33 +67,33 @@ class TestRatePipelines:
             rec("A", best_y=1.2, cpu=1.0, mem=100.0),
             rec("B", best_y=1.0, cpu=1.0, mem=100.0),
         ]
-        table, p_best, _ = rate_pipelines(records, "Base", RatingWeights())
+        table, p_best, _ = rate_pipelines(records, "Base", PAPER)
         assert p_best is None
         assert table.survivors == ()
         assert set(table.eliminated) == {"A", "B"}
 
     def test_eliminated_exactly_the_non_improvers(self):
         records = forced_fixture() + [rec("C", best_y=1.5, cpu=0.5, mem=50.0)]
-        table, p_best, _ = rate_pipelines(records, "Base", RatingWeights())
+        table, p_best, _ = rate_pipelines(records, "Base", PAPER)
         assert table.eliminated == ("C",)
         assert set(table.survivors) == {"A", "B"}
         assert p_best != "C"
 
     def test_baseline_never_a_survivor(self):
-        table, _, _ = rate_pipelines(forced_fixture(), "Base", RatingWeights())
+        table, _, _ = rate_pipelines(forced_fixture(), "Base", PAPER)
         assert "Base" not in table.survivors
         assert "Base" not in table.ratings
 
     def test_missing_baseline(self):
         with pytest.raises(MissingBaseline):
-            rate_pipelines([rec("A", 0.5, 1.0, 100.0)], "Base", RatingWeights())
+            rate_pipelines([rec("A", 0.5, 1.0, 100.0)], "Base", PAPER)
 
     def test_lone_survivor_gets_unit_norms(self):
         records = [
             rec("Base", best_y=1.0, cpu=1.0, mem=100.0),
             rec("A", best_y=0.5, cpu=2.0, mem=300.0),
         ]
-        table, p_best, _ = rate_pipelines(records, "Base", RatingWeights())
+        table, p_best, _ = rate_pipelines(records, "Base", PAPER)
         a = table.ratings["A"]
         assert (a.norm_obj, a.norm_mem, a.norm_cpu) == (1.0, 1.0, 1.0)
         assert a.aggregate == pytest.approx(1.0)
@@ -109,7 +107,7 @@ class TestRatePipelines:
                              memory_bytes=r.memory_bytes)
             for r in records
         ]
-        for weights in (RatingWeights(0.8, 0.1, 0.1), RatingWeights(0.5, 0.25, 0.25)):
+        for weights in (PAPER, RESOURCE_AWARE):
             _, p1, _ = rate_pipelines(records, "Base", weights)
             _, p2, _ = rate_pipelines(scaled, "Base", weights)
             assert p1 == p2
@@ -120,7 +118,7 @@ class TestRatePipelines:
             rec("A", best_y=1.0, cpu=3.0, mem=200.0, instance="i1"),
             rec("B", best_y=1.8, cpu=1.5, mem=100.0, instance="i1"),
         ]
-        table, p_best, _ = rate_pipelines(records, "Base", RatingWeights())
+        table, p_best, _ = rate_pipelines(records, "Base", PAPER)
         # improvements: A (0.4 + 0.5)/2, B (0.2 + 0.1)/2
         assert table.ratings["A"].improvement == pytest.approx(0.45)
         assert table.ratings["B"].improvement == pytest.approx(0.15)
@@ -131,12 +129,12 @@ class TestRatePipelines:
             rec("Base", best_y=0.0, cpu=1.0, mem=100.0),
             rec("A", best_y=-0.3, cpu=1.0, mem=100.0),
         ]
-        table, _, _ = rate_pipelines(records, "Base", RatingWeights())
+        table, _, _ = rate_pipelines(records, "Base", PAPER)
         assert table.ratings["A"].improvement == pytest.approx(0.3)
 
     def test_kb_updates_cover_all_pipelines_within_unit_interval(self):
         records = forced_fixture() + [rec("C", best_y=1.5, cpu=0.5, mem=50.0)]
-        _, _, updates = rate_pipelines(records, "Base", RatingWeights())
+        _, _, updates = rate_pipelines(records, "Base", PAPER)
         assert {u.algorithm for u in updates} == {"Base", "A", "B", "C"}
         for u in updates:
             assert 0.0 <= u.performance <= 1.0
@@ -144,7 +142,7 @@ class TestRatePipelines:
             assert 0.0 <= u.ram_usage <= 1.0
 
     def test_survivor_ranks_start_at_one(self):
-        table, _, _ = rate_pipelines(forced_fixture(), "Base", RatingWeights())
+        table, _, _ = rate_pipelines(forced_fixture(), "Base", PAPER)
         ranks = sorted(table.ratings[p].rank for p in table.survivors)
         assert ranks == [1.0, 2.0]
 
@@ -169,9 +167,14 @@ def rating_groups(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(records=rating_groups(),
-       weights=st.sampled_from([RatingWeights(0.8, 0.1, 0.1), RatingWeights(0.5, 0.25, 0.25)]))
+       weights=st.sampled_from([PAPER, RESOURCE_AWARE]))
 def test_rating_and_kb_update_fields_stay_in_unit_interval(records, weights):
     table, p_best, updates = rate_pipelines(records, "Base", weights)
+    competitors = {r.pipeline for r in records} - {"Base"}
+    assert set(table.ratings) == competitors
+    assert set(table.survivors) | set(table.eliminated) == competitors
+    assert not set(table.survivors) & set(table.eliminated)
+    assert sorted(u.algorithm for u in updates) == sorted({r.pipeline for r in records})
     for r in table.ratings.values():
         for v in (r.norm_obj, r.norm_mem, r.norm_cpu, r.aggregate):
             assert 0.0 <= v <= 1.0
