@@ -170,11 +170,15 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
                                output_dir=out_override or cfg.output_dir)
 
 
-def _load_served_kb(cfg: RunConfig) -> KnowledgeBase:
-    """The configured KB, refused with an error naming the goal when it cannot serve it."""
+def _load_served_kb(cfg: RunConfig, budget_key: str, budget: int) -> KnowledgeBase:
+    """The configured KB, refused with an error naming the goal when it cannot serve it, or
+    naming `budget_key` when `budget` does not exceed an entry's default design size."""
     kb = load_kb(cfg.kb)
-    cfg.goal.aim  # ConfigError for a goal this engine cannot execute
-    kb.entries_for(cfg.goal.path)  # UnknownGoal for a goal path the KB lacks
+    for name, entry in kb.entries_for(cfg.goal.path).items():  # UnknownGoal for a missing path
+        design = entry.defaults.get("designSize")
+        if design is not None and budget <= design:
+            raise ConfigError(f"{budget_key}: must exceed {name}'s designSize default {design}, "
+                              f"got {budget}")
     return kb
 
 
@@ -253,7 +257,7 @@ def run(ctx, cycles, theta, epsilon):
         flags = {"theta": theta, "epsilon": epsilon}
         cfg = override(cfg, {"cycles": cfg.cycles if cycles is None else cycles,
                              "cognition": {k: v for k, v in flags.items() if v is not None}})
-        kb = _load_served_kb(cfg)
+        kb = _load_served_kb(cfg, "cognition.bench_budget", cfg.cognition.bench_budget)
         plant = _make_plant(cfg)
         out = _prepare_out(cfg)
         log_path = out / "runlog.jsonl"
@@ -275,27 +279,7 @@ def run(ctx, cycles, theta, epsilon):
             })
             for _ in range(cfg.cycles):
                 state, kb = cognition.step(state, plant, kb, cfg.cognition, cfg.goal)
-                entry = dict(state.log_entries[-1], type="cycle")
-                write(entry)
-                if entry["selection_ran"] and state.last_rating is not None:
-                    write({
-                        "type": "selection",
-                        "iteration": entry["iteration"],
-                        "p_best": state.p_best,
-                        "survivors": list(state.last_rating.survivors),
-                        "eliminated": list(state.last_rating.eliminated),
-                        "ratings": {
-                            pid: {
-                                "improvement": r.improvement,
-                                "norm_obj": r.norm_obj,
-                                "mem_ratio": r.mem_ratio,
-                                "cpu_ratio": r.cpu_ratio,
-                                "aggregate": r.aggregate,
-                                "rank": r.rank,
-                            }
-                            for pid, r in state.last_rating.ratings.items()
-                        },
-                    })
+                write(dict(state.log_entries[-1], type="cycle"))
         save_kb(kb, out / "kb_final.yaml")
         click.echo(f"wrote {log_path} and {out / 'kb_final.yaml'}")
 
@@ -312,7 +296,7 @@ def benchmark_cmd(ctx):
         if cfg.goal.direction == "maximize":
             raise ConfigError("goal.direction: the campaign ranks by least best_y, "
                               "so it cannot benchmark a maximize goal")
-        kb = _load_served_kb(cfg)
+        kb = _load_served_kb(cfg, "campaign.budget", cfg.campaign.budget)
         plant = _make_plant(cfg)
         out = _prepare_out(cfg)
         records = report.campaign(
@@ -339,12 +323,11 @@ def report_cmd(ctx, records_csv):
         records = benchmark.records_from_csv(records_csv)
         if not records:
             raise MalformedInput(f"{records_csv}: no records")
-        for i, (_, table, p_best) in enumerate(
-            report.scenario_tables(records, cfg.rating.scenarios), start=1
-        ):
+        tables = report.scenario_tables(records, cfg.rating.scenarios)
+        for i, (_, table, _) in enumerate(tables, start=1):
             report.write_scenario_csv(table, out / f"scenario_{i}.csv")
         report.write_trajectories_csv(records, out / "trajectories.csv")
-        click.echo(report.summary_text(records, cfg.rating.scenarios))
+        click.echo(report.summary_text(records, tables))
 
     _guarded(ctx, body)
 

@@ -12,13 +12,18 @@ each candidate on one and benchmarks them all on the other through
 `benchmark.run_campaign`, rates them, and updates the knowledge base.
 The loop minimizes the goal's sign times the aggregate, so a maximize goal
 maximizes it.
+
+Each step appends one entry to `CognitionState.log_entries`, the one record
+of the step: the setting, the latest observation, the winner, the trigger
+and, under `selection`, the rated cycle's survivors, eliminated pipelines and
+ratings (None when no cycle was rated in the step).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,7 +91,6 @@ class CognitionState:
     last_cycle: int = 0
     # algorithm -> parameters as last benchmarked
     tuned: dict[str, dict] = field(default_factory=dict)
-    last_rating: RatingTable | None = None
     log_entries: list[dict] = field(default_factory=list)
 
 
@@ -124,15 +128,16 @@ def run_selection_cycle(
     config: CognitionConfig,
     goal: GoalSpec,
     bounds,
-) -> KnowledgeBase:
-    """Simulate, benchmark candidates, rate, and fold results into the KB."""
+) -> tuple[KnowledgeBase, RatingTable | None]:
+    """Simulate, benchmark candidates, rate, and fold results into the KB.
+    Returns the KB and the cycle's rating, None when the cycle is skipped."""
     feasible = determine_feasible(compose_pipelines(kb, goal.path), goal, data_size=len(state.d))
     # every rating group needs the baseline as its reference, so without one nothing runs
     baseline = next((e for e in feasible if e.name == optimizers.BASELINE), None)
     if baseline is None:
         log.warning("no feasible baseline; skipping this selection cycle")
         state.p_best = None
-        return kb
+        return kb, None
     candidates = select_candidates(feasible, config.resources, state.e)
     if baseline not in candidates:
         candidates = [baseline] + candidates
@@ -150,7 +155,6 @@ def run_selection_cycle(
     state.e.extend(records)
 
     table, p_best, updates = rate_pipelines(records, baseline.name, config.weights)
-    state.last_rating = table
     state.p_best = p_best
     for rec in records:
         state.tuned[rec.pipeline] = rec.tuned_params
@@ -161,7 +165,7 @@ def run_selection_cycle(
             )
         except CogoptError as exc:
             log.warning("KB update for %s failed: %s", up.algorithm, exc)
-    return kb
+    return kb, table
 
 
 def get_best_x(
@@ -202,11 +206,11 @@ def step(
 ) -> tuple[CognitionState, KnowledgeBase]:
     """One loop iteration; returns the advanced state and (possibly) new KB."""
     bounds = plant.bounds
-    selection_ran = False
+    selection_ran, table = False, None
     if state.iteration % config.theta == 0 or state.zeta == 1:
         state.zeta = 0
         try:
-            kb = run_selection_cycle(state, kb, config, goal, bounds)
+            kb, table = run_selection_cycle(state, kb, config, goal, bounds)
             selection_ran = True
         except (UnknownGoal, ConfigError):
             raise  # a goal or setting the loop cannot serve fails every cycle alike
@@ -243,18 +247,23 @@ def step(
         if stagnant or decreased:
             state.zeta = 1
 
-    latest_record = state.d[-1] if state.d else None
+    last = state.d[-1]
     state.log_entries.append({
         "iteration": state.iteration,
         "x": state.x,
-        "objective": latest_record.aggregate if latest_record else None,
-        "f1": latest_record.f1 if latest_record else None,
-        "f2": latest_record.f2 if latest_record else None,
-        "f3": latest_record.f3 if latest_record else None,
+        "objective": last.aggregate,
+        "f1": last.f1,
+        "f2": last.f2,
+        "f3": last.f3,
         "p_best": state.p_best,
         "zeta": state.zeta,
         "selection_ran": selection_ran,
         "applied": applied,
+        "selection": None if table is None else {
+            "survivors": list(table.survivors),
+            "eliminated": list(table.eliminated),
+            "ratings": {pid: asdict(r) for pid, r in table.ratings.items()},
+        },
     })
     state.iteration += 1
     return state, kb

@@ -22,19 +22,19 @@ from dataclasses import dataclass, replace
 import yaml
 
 from . import optimizers
-from .errors import ConfigError, ParseError, SchemaError, UnknownAlgorithm, UnknownGoal
+from .errors import ParseError, SchemaError, UnknownAlgorithm, UnknownGoal
 
 KB_VERSION_KEY = "caai_kb_version"
 KB_VERSION = 1
 
-OVERALL_GOALS = ("Optimization", "AnomalyDetection", "ConditionMonitoring", "PredictiveMaintenance")
+OVERALL_GOALS = ("Optimization",)
 AGGREGATIONS = ("mean",)  # the plant computes one aggregate, its weighted mean
 DIRECTIONS = ("minimize", "maximize")
 # YAML spelling of a parameter type -> ParameterSpec kind; dump_kb writes each kind's first spelling
 PARAM_TYPES = {"int": "integer", "integer": "integer", "real": "real", "float": "real",
                "categorical": "categorical"}
 PARAM_KINDS = tuple(dict.fromkeys(PARAM_TYPES.values()))
-REACH_AIMS = ("optimization-min", "optimization-max", "condition-monitoring", "anomaly-detection", "diagnosis")
+REACH_AIMS = ("optimization-min", "optimization-max")
 ALGORITHM_CLASSES = ("HillClimber", "Trajectory", "Population", "Surrogate", "Baseline")
 
 
@@ -50,7 +50,8 @@ class GoalSpec:
     def __post_init__(self):
         # each message starts with its field, so the config loader can prefix the section
         if self.overall_goal not in OVERALL_GOALS:
-            raise SchemaError(f"overall_goal: unknown goal {self.overall_goal!r}")
+            raise SchemaError(f"overall_goal: must be one of {list(OVERALL_GOALS)}, "
+                              f"got {self.overall_goal!r}")
         if not self.signals:
             raise SchemaError("signals: a goal needs at least one signal")
         if self.aggregation not in AGGREGATIONS:
@@ -66,8 +67,6 @@ class GoalSpec:
     @property
     def aim(self) -> str:
         """The reach-aim an algorithm must declare to serve this goal."""
-        if self.overall_goal != "Optimization":
-            raise ConfigError(f"goal {self.overall_goal!r} is not executable in this engine")
         return "optimization-min" if self.direction == "minimize" else "optimization-max"
 
     @property
@@ -289,7 +288,8 @@ def parse_kb(text: str) -> KnowledgeBase:
         if goal == KB_VERSION_KEY:
             continue
         if goal not in OVERALL_GOALS:
-            raise SchemaError(f"unknown overall goal {goal!r}")
+            raise SchemaError(f"unknown overall goal {goal!r}: goal.overall_goal takes only "
+                              f"{list(OVERALL_GOALS)}")
         for direction, feat_block in (sub or {}).items():
             if direction not in DIRECTIONS:
                 raise SchemaError(f"unknown direction {direction!r} under {goal!r}")

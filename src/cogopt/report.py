@@ -14,7 +14,7 @@ import numpy as np
 
 from . import benchmark, gp
 from .benchmark import EvaluationRecord, pearson_correlation, rank_algorithms, run_campaign
-from .errors import MalformedInput
+from .errors import DegenerateInput, MalformedInput
 from .knowledge import KnowledgeBase, compose_pipelines
 from .optimizers import BASELINE
 from .plant import VpsSimulator
@@ -121,7 +121,9 @@ def write_trajectories_csv(records: list[EvaluationRecord], path) -> None:
                         repr(rec.memory_bytes), repr(rec.cpu_time)])
 
 
-def summary_text(records: list[EvaluationRecord], scenarios) -> str:
+def summary_text(records: list[EvaluationRecord], tables) -> str:
+    """The rank correlation of `records` and the winner of each (weights, table, p_best)
+    from `scenario_tables`."""
     lines = []
     try:
         corr = rank_correlation(records)
@@ -130,9 +132,9 @@ def summary_text(records: list[EvaluationRecord], scenarios) -> str:
             f"CI95=[{corr.conf_int[0]:.3f}, {corr.conf_int[1]:.3f}] "
             f"t={corr.t_statistic:.3f} p={corr.p_value:.3g} df={corr.df}"
         )
-    except MalformedInput as exc:
+    except (MalformedInput, DegenerateInput) as exc:
         lines.append(f"rank correlation unavailable: {exc}")
-    for w, table, p_best in scenario_tables(records, scenarios):
+    for w, table, p_best in tables:
         if p_best is None:
             lines.append(f"scenario {w}: empty survivor set (baseline is the fallback)")
         else:

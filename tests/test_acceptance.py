@@ -179,7 +179,7 @@ def test_07_control_flow(monkeypatch):
 
     def fake_selection(state, kb, config, goal, bounds):
         state.p_best = "Stub"
-        return kb
+        return kb, None
 
     monkeypatch.setattr(cognition, "run_selection_cycle", fake_selection)
     monkeypatch.setattr(cognition, "get_best_x",
@@ -203,7 +203,7 @@ def test_08_knowledge_update_round_trip():
     cfg = CognitionConfig(s=6, theta=3, tuning_budget=2,
                           bench_budget=12, reps=2, master_seed=0)
     state = bootstrap(CognitionState(), plant, cfg)
-    kb = run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
+    kb, _ = run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
 
     benchmarked = {r.pipeline for r in state.e}
     fields_ok = True

@@ -11,10 +11,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cogopt import cognition, report
+from cogopt import cli, cognition, report
+from cogopt.benchmark import EvaluationRecord, rank_algorithms, records_to_csv
 from cogopt.cli import RunConfig, default_config_doc, load_config, main
 from cogopt.knowledge import load_kb
 from cogopt.optimizers import ALGORITHMS
+from cogopt.rating import rate_pipelines
 
 
 @pytest.fixture()
@@ -81,6 +83,25 @@ class TestRun:
         kb = load_kb(out / "kb_final.yaml")
         assert "RandomSearch" in kb.entries_for(("Optimization", "minimize", "mean"))
 
+    def test_runlog_holds_one_line_per_step_entry(self, runner, tmp_path, monkeypatch):
+        real_step, states = cognition.step, []
+
+        def step(*args):
+            state, kb = real_step(*args)
+            states.append(state)
+            return state, kb
+
+        monkeypatch.setattr(cognition, "step", step)
+        cfg = write_project(tmp_path)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                   "run", "--cycles", "2"])
+        assert res.exit_code == 0, res.output
+        lines = [json.loads(l) for l in (out / "runlog.jsonl").read_text().splitlines()]
+        assert [l.pop("type") for l in lines] == ["bootstrap", "cycle", "cycle"]
+        assert lines[1:] == json.loads(json.dumps(states[-1].log_entries))
+        assert lines[1]["selection_ran"] and lines[1]["selection"]["ratings"]
+
     def test_zero_cycles_gives_bootstrap_only_log(self, runner, tmp_path):
         cfg = write_project(tmp_path)
         out = tmp_path / "out"
@@ -113,7 +134,7 @@ class TestRun:
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "run"])
         assert res.exit_code != 0
         lines = [json.loads(l) for l in (out / "runlog.jsonl").read_text().splitlines()]
-        assert [l["type"] for l in lines if l["type"] != "selection"] == ["bootstrap", "cycle"]
+        assert [l["type"] for l in lines] == ["bootstrap", "cycle"]
 
     def test_seed_override_changes_trajectory(self, runner, tmp_path):
         cfg = write_project(tmp_path, plant={"noise_sd": 0.05})
@@ -189,6 +210,35 @@ class TestReport:
             outputs.append((res.output, (out / "scenario_1.csv").read_text(),
                             (out / "trajectories.csv").read_text()))
         assert outputs[0] == outputs[1]
+
+    def test_each_scenario_is_rated_once(self, runner, campaign_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return rate_pipelines(*args, **kwargs)
+
+        monkeypatch.setattr(report, "rate_pipelines", counting)
+        cfg, bench = campaign_dir
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "rep"),
+                                   "report", str(bench / "campaign.csv")])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == len(load_config(cfg).rating.scenarios)
+
+    def test_tied_ranks_leave_the_correlation_unavailable(self, runner, tmp_path):
+        # two pipelines equal everywhere: every mean rank is 1.5, so the ranks have no variance
+        cfg = write_project(tmp_path)
+        records = rank_algorithms([
+            EvaluationRecord(pipeline, instance, budget, 0.5, 0.1, 64.0)
+            for pipeline in ("RandomSearch", "HillClimber")
+            for instance in (report.GROUND_TRUTH, "sim-0") for budget in (6, 12, 18)])
+        records_to_csv(records, tmp_path / "tied.csv")
+        out = tmp_path / "rep"
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                   "report", str(tmp_path / "tied.csv")])
+        assert res.exit_code == 0, res.output
+        assert "rank correlation unavailable: zero variance input" in res.output
+        assert (out / "scenario_2.csv").exists()
 
     @pytest.mark.parametrize("column, value", [("budget", "abc"), ("best_y", "n/a"),
                                                ("rank", "first")])
@@ -288,13 +338,54 @@ class TestErrors:
         assert f"algorithm {name!r} parameter: unknown key(s) [{param!r}]" in res.output
 
     @pytest.mark.parametrize("command", ["run", "benchmark"])
-    @pytest.mark.parametrize("goal, named", [({"overall_goal": "AnomalyDetection"}, "AnomalyDetection"),
+    @pytest.mark.parametrize("goal, named", [({"overall_goal": "AnomalyDetection"},
+                                              "goal.overall_goal: must be one of ['Optimization'], "
+                                              "got 'AnomalyDetection'"),
                                              ({"aggregation": "max"}, "goal.aggregation")])
     def test_goal_the_kb_cannot_serve_is_refused(self, runner, tmp_path, command, goal, named):
         cfg = write_project(tmp_path, goal=goal)
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), command])
         assert res.exit_code == 2, res.output
         assert named in res.output
+
+    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    def test_kb_section_for_another_goal_is_refused(self, runner, tmp_path, command):
+        cfg = write_project(tmp_path)
+        kb = tmp_path / "kb.yaml"
+        doc = yaml.safe_load(kb.read_text())
+        doc["AnomalyDetection"] = doc["Optimization"]
+        kb.write_text(yaml.safe_dump(doc))
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert res.exit_code == 2, res.output
+        assert "'AnomalyDetection': goal.overall_goal takes only ['Optimization']" in res.output
+
+    @pytest.mark.parametrize("command, section, key, extra", [
+        (["run", "--cycles", "1"], "cognition", "bench_budget", {}),
+        (["benchmark"], "campaign", "budget", {"checkpoints": [3]}),
+    ])
+    @pytest.mark.parametrize("budget", [4, 7])
+    def test_budget_within_a_design_size_is_refused_before_the_plant_runs(
+            self, runner, tmp_path, monkeypatch, command, section, key, extra, budget):
+        def no_plant(cfg):
+            raise AssertionError("the plant was built")
+
+        monkeypatch.setattr(cli, "_make_plant", no_plant)
+        cfg = write_project(tmp_path, **{section: {key: budget, **extra}})
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o")] + command)
+        assert res.exit_code == 2, res.output
+        assert (f"{section}.{key}: must exceed KrigingSBO's designSize default 7, "
+                f"got {budget}") in res.output
+
+    def test_budget_check_reads_the_kb_default(self, runner, tmp_path):
+        cfg = write_project(tmp_path, cognition={"bench_budget": 4})
+        kb = tmp_path / "kb.yaml"
+        doc = yaml.safe_load(kb.read_text())
+        doc["Optimization"]["minimize"]["mean"]["Algorithms"]["KrigingSBO"]["parameter"][
+            "designSize"]["default"] = 3
+        kb.write_text(yaml.safe_dump(doc))
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "run", "--cycles", "0"])
+        assert res.exit_code == 0, res.output
 
     def test_missing_kb_file(self, runner, tmp_path):
         cfg = write_project(tmp_path)

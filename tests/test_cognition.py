@@ -144,7 +144,7 @@ class TestControlFlow:
 
         def fake_selection(state, kb, config, goal, bounds):
             state.p_best = "Stub"
-            return kb
+            return kb, None
 
         it = iter(proposals)
 
@@ -166,6 +166,8 @@ class TestControlFlow:
         assert ran == [0, 3, 4, 8]
         off_schedule = [i for i in ran if i % 4 != 0]
         assert off_schedule == [3]
+        # the stub rates nothing, so no entry records a rating
+        assert all(e["selection"] is None for e in state.log_entries)
 
     def test_zeta_reset_after_selection(self, monkeypatch):
         script = [1.0, 1.0, 1.0, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6]
@@ -213,7 +215,7 @@ def cycle_result():
     cfg = CognitionConfig(s=6, theta=3, tuning_budget=2,
                           bench_budget=12, reps=2, master_seed=0)
     state = bootstrap(CognitionState(), plant, cfg)
-    kb = run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
+    kb, _ = run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
     return state, kb
 
 
@@ -241,6 +243,28 @@ class TestSelectionCycle:
         state, _ = cycle_result
         if state.p_best is not None:
             assert state.p_best in {r.pipeline for r in state.e}
+
+
+def test_each_step_entry_records_the_cycle_it_rated():
+    plant = VpsSimulator(noise_sd=0.02, seed=0)
+    cfg = CognitionConfig(s=6, theta=3, tuning_budget=2, bench_budget=12, reps=2, master_seed=0)
+    state, kb = bootstrap(CognitionState(), plant, cfg), default_kb()
+    for _ in range(4):
+        seen = len(state.e)
+        state, kb = step(state, plant, kb, cfg, GOAL)
+        entry = state.log_entries[-1]
+        benchmarked = {r.pipeline for r in state.e[seen:]} - {optimizers.BASELINE}
+        if not entry["selection_ran"]:
+            assert entry["selection"] is None and not benchmarked
+            continue
+        sel = entry["selection"]
+        survivors, eliminated = set(sel["survivors"]), set(sel["eliminated"])
+        assert survivors | eliminated == benchmarked == set(sel["ratings"])
+        assert not survivors & eliminated
+        assert entry["p_best"] == (sel["survivors"][0] if sel["survivors"] else None)
+    assert [e["selection"] is not None for e in state.log_entries] == \
+        [e["selection_ran"] for e in state.log_entries]
+    assert state.log_entries[0]["selection"] is not None
 
 
 def test_a_cycle_draws_the_two_instances_it_runs(monkeypatch):
@@ -272,7 +296,8 @@ def test_no_feasible_baseline_skips_the_cycle_before_any_work(monkeypatch):
 
     monkeypatch.setattr(cognition, "generate_test_functions", no_work)
     monkeypatch.setattr(cognition, "tune_then_benchmark", no_work)
-    assert run_selection_cycle(state, kb, CognitionConfig(), GOAL, (0.0, 1.0)) is kb
+    kb_out, table = run_selection_cycle(state, kb, CognitionConfig(), GOAL, (0.0, 1.0))
+    assert kb_out is kb and table is None
     assert state.e == [] and state.p_best is None
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogopt import optimizers
-from cogopt.errors import ConfigError, SchemaError, UnknownAlgorithm, UnknownGoal
+from cogopt.errors import SchemaError, UnknownAlgorithm, UnknownGoal
 from cogopt.knowledge import (
     ALGORITHM_CLASSES,
     DIRECTIONS,
@@ -95,10 +95,9 @@ class TestGoalSpec:
         with pytest.raises(SchemaError):
             GoalSpec("Optimization", (), "mean", "minimize")
 
-    def test_non_optimization_goal_parses_but_is_not_executable(self):
-        g = GoalSpec("AnomalyDetection", ("f",), "mean", "minimize")
-        with pytest.raises(ConfigError):
-            g.aim
+    def test_non_optimization_goal_is_refused(self):
+        with pytest.raises(SchemaError, match="overall_goal"):
+            GoalSpec("AnomalyDetection", ("f",), "mean", "minimize")
 
     def test_unknown_enums_rejected(self):
         with pytest.raises(SchemaError):
@@ -282,7 +281,7 @@ class TestFeasibility:
         assert determine_feasible(pipes, GOAL, data_size=7) == pipes
 
     def test_aim_mismatch_excluded(self):
-        kb = kb_of(entry("Detector", aim=("anomaly-detection",)))
+        kb = kb_of(entry("Maximizer", aim=("optimization-max",)))
         pipes = compose_pipelines(kb, GOAL.path)
         assert determine_feasible(pipes, GOAL, data_size=100) == []
 
