@@ -64,7 +64,6 @@ class CampaignConfig:
     checkpoints: tuple[int, ...] = benchmark.DEFAULT_CHECKPOINTS
     reps: int = 10
     k_instances: int = 5
-    workers: int = 1
 
     def __post_init__(self):
         # the loader prefixes the section: "campaign.checkpoints: ..."

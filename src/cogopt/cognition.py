@@ -159,12 +159,9 @@ def run_selection_cycle(
     for rec in records:
         state.tuned[rec.pipeline] = rec.tuned_params
     for up in updates:
-        try:
-            kb = update_characteristics(
-                kb, goal.path, up.algorithm, up.performance, up.computational_effort, up.ram_usage
-            )
-        except CogoptError as exc:
-            log.warning("KB update for %s failed: %s", up.algorithm, exc)
+        kb = update_characteristics(
+            kb, goal.path, up.algorithm, up.performance, up.computational_effort, up.ram_usage
+        )
     return kb, table
 
 

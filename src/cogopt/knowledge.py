@@ -2,7 +2,7 @@
 
 The knowledge base is a YAML document with the hierarchy
 
-    <overall goal> -> <direction> -> <feature> -> Algorithms -> <name> ->
+    <overall goal> -> <direction> -> <aggregation> -> Algorithms -> <name> ->
         {parameter, metadata, input, output}
 
 A pipeline is one algorithm entry and is named after it: every entry consumes
@@ -293,14 +293,17 @@ def parse_kb(text: str) -> KnowledgeBase:
         for direction, feat_block in (sub or {}).items():
             if direction not in DIRECTIONS:
                 raise SchemaError(f"unknown direction {direction!r} under {goal!r}")
-            for feature, algos_block in (feat_block or {}).items():
+            for aggregation, algos_block in (feat_block or {}).items():
+                path = f"goal path {goal}/{direction}/{aggregation}"
+                if aggregation not in AGGREGATIONS:
+                    raise SchemaError(f"{path}: aggregation must be one of {list(AGGREGATIONS)}")
                 if not isinstance(algos_block, dict) or "Algorithms" not in algos_block:
-                    raise SchemaError(f"goal path {goal}/{direction}/{feature}: missing Algorithms")
+                    raise SchemaError(f"{path}: missing Algorithms")
                 entries = {
                     name: _parse_entry(name, block)
                     for name, block in (algos_block["Algorithms"] or {}).items()
                 }
-                goals[(goal, direction, feature)] = entries
+                goals[(goal, direction, aggregation)] = entries
     return KnowledgeBase(goals=goals)
 
 

@@ -1,12 +1,14 @@
 """Baseline-relative, weighted, normalized aggregate rating of pipelines.
 
 Within each (instance, budget) group, each competitor's objective value is
-turned into a relative improvement over the baseline; non-improvers are
-eliminated.  Memory and CPU are expressed as ratios to the baseline.  Each
-factor is min-max normalized among the group's survivors (best -> 1,
-worst -> 0), aggregated with the configured weights, averaged across groups,
-and ranked.  The winner becomes the applied pipeline; the normalized factors
-feed back into the knowledge base as dynamic algorithm characteristics.
+turned into a relative improvement over the baseline; non-improvers get zero
+norms in that group.  Memory and CPU are expressed as ratios to the baseline.
+Each factor is min-max normalized among the group's improvers (best -> 1,
+worst -> 0) and aggregated with the configured weights.  Each competitor is
+rated by its mean over every group it ran in; one that improved in no group
+is eliminated, and the rest are ranked.  The winner becomes the applied
+pipeline; the normalized factors feed back into the knowledge base as dynamic
+algorithm characteristics.
 """
 
 from __future__ import annotations
@@ -102,57 +104,51 @@ def rate_pipelines(
 ):
     """Returns (RatingTable, p_best or None, list of KbUpdate).
 
-    `weights` is the (objective, memory, cpu) triple.  A competitor that
-    improved on the baseline in some group survives and is rated by its mean
-    over those groups; any other is eliminated with zero norms and aggregate.
-    The baseline is never a survivor candidate.  KB updates cover every
-    benchmarked pipeline (baseline included) using norms over the whole
-    field, so eliminated algorithms still receive their characteristics.
+    `weights` is the (objective, memory, cpu) triple.  A competitor is rated
+    by its mean over every group it ran in, a group where it did not improve
+    on the baseline counting with zero norms and aggregate.  It survives when
+    it improved in some group and is eliminated otherwise.  The baseline is
+    never a survivor candidate.  KB updates cover every benchmarked pipeline
+    (baseline included) using norms over the whole field, so eliminated
+    algorithms still receive their characteristics.
     """
     groups: dict[tuple[str, int], dict[str, EvaluationRecord]] = {}
     for rec in records:
         groups.setdefault((rec.instance, rec.budget), {})[rec.pipeline] = rec
 
     w_obj, w_mem, w_cpu = weights
-    # per pipeline, one (rating row, survived, whole-field norms) per group it ran in
-    rows: dict[str, list[tuple[dict, bool, dict]]] = {}
+    # per pipeline, one (rating row, whole-field norms) per group it ran in
+    rows: dict[str, list[tuple[dict, dict]]] = {}
+    improved: set[str] = set()  # the competitors that beat the baseline in some group
     for key, group in groups.items():
         if baseline_id not in group:
             raise MissingBaseline(f"group {key} lacks baseline {baseline_id!r}")
         raw = _raw_rows(group, baseline_id)
         surv_norms = _normalize(raw, [p for p, r in raw.items()
                                       if p != baseline_id and r["improvement"] > 0.0])
+        improved.update(surv_norms)
         field_norms = _normalize(raw, list(raw))
         for p, row in raw.items():
             n = surv_norms.get(p, _ELIMINATED)
             agg = w_obj * n["norm_obj"] + w_mem * n["norm_mem"] + w_cpu * n["norm_cpu"]
-            rows.setdefault(p, []).append(
-                ({**row, **n, "aggregate": agg}, p in surv_norms, field_norms[p]))
+            rows.setdefault(p, []).append(({**row, **n, "aggregate": agg}, field_norms[p]))
 
-    ratings: dict[str, PipelineRating] = {}
-    eliminated = []
-    for p, prows in rows.items():
-        if p == baseline_id:
-            continue
-        kept = [row for row, survived, _ in prows if survived]
-        if not kept:
-            eliminated.append(p)
-        ratings[p] = PipelineRating(pipeline=p, **_mean_rows(kept or [row for row, _, _ in prows]))
-
+    ratings = {p: PipelineRating(pipeline=p, **_mean_rows([row for row, _ in prows]))
+               for p, prows in rows.items() if p != baseline_id}
     # rank survivors: larger aggregate first; ties favor frugal resource use
-    order = sorted((p for p in ratings if p not in eliminated),
-                   key=lambda p: (-ratings[p].aggregate, ratings[p].cpu_ratio,
-                                  ratings[p].mem_ratio, p))
+    order = sorted(improved, key=lambda p: (-ratings[p].aggregate, ratings[p].cpu_ratio,
+                                            ratings[p].mem_ratio, p))
     for i, p in enumerate(order, start=1):
         ratings[p] = replace(ratings[p], rank=float(i))
 
     updates = []
     for p, prows in rows.items():
-        mean = _mean_rows([norms for _, _, norms in prows])
+        mean = _mean_rows([norms for _, norms in prows])
         updates.append(KbUpdate(algorithm=p, performance=mean["norm_obj"],
                                 computational_effort=1.0 - mean["norm_cpu"],
                                 ram_usage=1.0 - mean["norm_mem"]))
-    table = RatingTable(ratings=ratings, survivors=tuple(order), eliminated=tuple(sorted(eliminated)))
+    table = RatingTable(ratings=ratings, survivors=tuple(order),
+                        eliminated=tuple(sorted(set(ratings) - improved)))
     return table, order[0] if order else None, updates
 
 

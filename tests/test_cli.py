@@ -359,6 +359,18 @@ class TestErrors:
         assert res.exit_code == 2, res.output
         assert "'AnomalyDetection': goal.overall_goal takes only ['Optimization']" in res.output
 
+    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    def test_kb_path_no_goal_can_reach_is_refused(self, runner, tmp_path, command):
+        cfg = write_project(tmp_path)
+        kb = tmp_path / "kb.yaml"
+        doc = yaml.safe_load(kb.read_text())
+        doc["Optimization"]["minimize"]["max"] = doc["Optimization"]["minimize"]["mean"]
+        kb.write_text(yaml.safe_dump(doc))
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert res.exit_code == 2, res.output
+        assert ("goal path Optimization/minimize/max: aggregation must be one of ['mean']"
+                in res.output)
+
     @pytest.mark.parametrize("command, section, key, extra", [
         (["run", "--cycles", "1"], "cognition", "bench_budget", {}),
         (["benchmark"], "campaign", "budget", {"checkpoints": [3]}),
@@ -423,6 +435,7 @@ class TestErrors:
         ("plant", {"weights": [0.5, 0.5]}, "plant.weights"),
         ("goal", {"direction": "sideways"}, "goal.direction"),
         ("campaign", {"checkpoints": [24, 36]}, "campaign.checkpoints"),
+        ("campaign", {"workers": 2}, "campaign.workers"),
         ("cycles", -1, "cycles"),
         ("cognition", {"design_kind": "full_factorial"}, "cognition.design_kind"),
         ("plant", {"weights": [0.5, 0.5, 0.0]}, "plant.weights"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cogopt import optimizers
 from cogopt.errors import SchemaError, UnknownAlgorithm, UnknownGoal
 from cogopt.knowledge import (
+    AGGREGATIONS,
     ALGORITHM_CLASSES,
     DIRECTIONS,
     METADATA_KEYS,
@@ -182,6 +183,13 @@ class TestParsing:
         with pytest.raises(SchemaError, match=f"algorithm '{name}' parameter: not a mapping"):
             parse_kb(doc)
 
+    @pytest.mark.parametrize("aggregation", ["min", "max"])
+    def test_goal_path_no_goal_can_reach_is_refused(self, aggregation):
+        with pytest.raises(SchemaError, match=re.escape(
+                f"goal path Optimization/minimize/{aggregation}: aggregation must be one of "
+                "['mean']")):
+            parse_kb(KB_DOC.replace("    mean:", f"    {aggregation}:"))
+
     def test_output_may_be_left_out(self):
         doc = KB_DOC.replace("          output: parameter proposal\n", "")
         assert "output" not in doc
@@ -226,7 +234,7 @@ def entries(draw, name):
 @st.composite
 def knowledge_bases(draw):
     paths = draw(st.lists(st.tuples(st.sampled_from(OVERALL_GOALS), st.sampled_from(DIRECTIONS),
-                                    st.sampled_from(("mean", "min", "max"))), max_size=3, unique=True))
+                                    st.sampled_from(AGGREGATIONS)), max_size=3, unique=True))
     return KnowledgeBase(goals={
         path: {name: draw(entries(name)) for name in draw(st.lists(NAMES, max_size=3, unique=True))}
         for path in paths

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,18 @@ class TestRatePipelines:
         assert table.ratings["B"].improvement == pytest.approx(0.15)
         assert p_best == "A"
 
+    def test_a_group_without_improvement_counts_in_the_mean(self):
+        # A improves by 0.5 in one group and is worse in three; B improves by 0.3 in all four
+        records = []
+        for i, a in enumerate([0.5, 1.5, 1.5, 1.5]):
+            records += [rec("Base", best_y=1.0, cpu=1.0, mem=100.0, instance=f"i{i}"),
+                        rec("A", best_y=a, cpu=1.0, mem=100.0, instance=f"i{i}"),
+                        rec("B", best_y=0.7, cpu=1.0, mem=100.0, instance=f"i{i}")]
+        table, p_best, _ = rate_pipelines(records, "Base", PAPER)
+        assert table.ratings["A"].aggregate == pytest.approx(0.25)
+        assert table.ratings["B"].aggregate == pytest.approx(0.8)
+        assert p_best == "B"
+
     def test_near_zero_baseline_uses_absolute_difference(self):
         records = [
             rec("Base", best_y=0.0, cpu=1.0, mem=100.0),
@@ -182,3 +195,25 @@ def test_rating_and_kb_update_fields_stay_in_unit_interval(records, weights):
         for v in (u.performance, u.computational_effort, u.ram_usage):
             assert 0.0 <= v <= 1.0
     assert p_best is None or p_best in table.survivors
+
+
+RATED_FIELDS = ("improvement", "mem_ratio", "cpu_ratio", "norm_obj", "norm_mem", "norm_cpu",
+                "aggregate")
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=rating_groups(),
+       weights=st.sampled_from([PAPER, RESOURCE_AWARE]))
+def test_rating_is_the_mean_of_the_one_group_ratings(records, weights):
+    table, _, _ = rate_pipelines(records, "Base", weights)
+    groups = {}
+    for r in records:
+        groups.setdefault((r.instance, r.budget), []).append(r)
+    alone = [rate_pipelines(group, "Base", weights)[0] for group in groups.values()]
+    for p, rating in table.ratings.items():
+        ran = [t for t in alone if p in t.ratings]
+        for name in RATED_FIELDS:
+            mean = np.mean([getattr(t.ratings[p], name) for t in ran])
+            assert getattr(rating, name) == pytest.approx(mean), name
+    assert set(table.eliminated) == {
+        p for p in table.ratings if all(p in t.eliminated for t in alone if p in t.ratings)}
