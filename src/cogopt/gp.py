@@ -22,6 +22,7 @@ observations up to the nugget.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -34,6 +35,22 @@ from .errors import SchemaError, SingularCovariance
 
 GRID_SIZE = 512            # default realization grid resolution
 _NUGGET_FLOOR = 1e-10      # least nugget, as a fraction of the signal variance
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the noise ratios a noise fit scans, and the one ratio of a fit without noise
+_NOISE_GRID = _read_only(np.geomspace(1e-6, 1.0, 8))
+_NO_NOISE = _read_only(np.array([0.0]))
+
+
+@functools.lru_cache(maxsize=128)
+def _ls_grid(width: float) -> np.ndarray:
+    """The 32-point log lengthscale grid of a bound width, built once per width (read-only)."""
+    return _read_only(np.geomspace(1e-3 * width, 2.0 * width, 32))
 
 
 @dataclass(frozen=True)
@@ -242,8 +259,8 @@ def fit(data: Dataset, noise: bool = False, start: float | None = None) -> GPMod
     width = data.bounds[1] - data.bounds[0]
     vy = max(float(np.var(data.y)), 1e-12)
     sv_range = (1e-4 * vy, 4.0 * vy)
-    ls_grid = np.geomspace(1e-3 * width, 2.0 * width, 32)
-    noise_grid = np.geomspace(1e-6, 1.0, 8) if noise else np.array([0.0])
+    ls_grid = _ls_grid(width)
+    noise_grid = _NOISE_GRID if noise else _NO_NOISE
 
     D2 = _sqdist(data.X, data.X)
     if start is None:

@@ -5,7 +5,8 @@ uniform random sampling (the baseline), a secant-step hill climber with
 finite-difference gradients and restarts, generalized simulated annealing
 with a Tsallis visiting law, differential evolution whose trial is the
 clipped mutant (in one dimension binomial crossover always takes it), and
-Kriging-based surrogate optimization by expected improvement.  Each run is a
+Kriging-based surrogate optimization by expected improvement over
+`EI_CANDIDATES` uniform points and 64 near the incumbent.  Each run is a
 pure function of (problem, seed, params), its keyword params being those a KB
 entry may declare; the metering wrapper counts evaluations, enforces bounds
 and budget, and tracks the best-so-far trace, CPU time and state-size memory.
@@ -26,6 +27,7 @@ from .errors import BudgetExhausted, ConfigError, OutOfBounds, SingularCovarianc
 
 ALGORITHMS = ("RandomSearch", "HillClimber", "GeneralizedSA", "DifferentialEvolution", "KrigingSBO")
 BASELINE = "RandomSearch"
+EI_CANDIDATES = 256  # uniform points at which KrigingSBO scores expected improvement
 
 log = logging.getLogger("cogopt.optimizers")
 
@@ -111,8 +113,9 @@ class MeteredObjective:
 
 
 def _uniform(rng, bounds, n=None):
+    """`rng.uniform(lo, hi, size=n)` bit for bit for a finite hi - lo, without its argument checks."""
     lo, hi = bounds
-    return rng.uniform(lo, hi, size=n)
+    return lo + (hi - lo) * rng.random(n)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +265,7 @@ def generalized_sa(problem: OptProblem, seed: int, temp: float = 100.0,
             x, fx = xn, fn
         else:
             p = gsa_acceptance_probability(fn - fx, tv, t, qa)
-            if p > 0.0 and rng.uniform() < p:
+            if p > 0.0 and rng.random() < p:
                 x, fx = xn, fn
         t += 1
     return f.result()
@@ -378,6 +381,14 @@ def _expected_improvement(mu, var, y_best):
 
 def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
                 designType: str = "Lhd") -> OptResult:
+    """Expected-improvement search on a Kriging model of every evaluation so far.
+
+    Each step fits the model and evaluates next the candidate of greatest
+    expected improvement (Jones, Schonlau & Welch 1998).  The candidates are
+    `EI_CANDIDATES` fresh uniform points plus 64 normal points around the
+    incumbent (sd 1% of the bound width, clipped to the bounds), scored in
+    one `gp.predict` call.
+    """
     if designSize < 3:
         raise ConfigError("designSize must be >= 3")
     if problem.budget <= designSize:
@@ -423,7 +434,7 @@ def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,
             xn = _uniform(rng, problem.bounds)
         else:
             f.set_state_bytes(16 * len(X) + model.state_bytes())
-            cand = _uniform(rng, problem.bounds, 2048)
+            cand = _uniform(rng, problem.bounds, EI_CANDIDATES)
             # local refinement around the incumbent best
             local = f.best_x + 0.01 * (hi - lo) * rng.standard_normal(64)
             cand = np.concatenate([cand, np.clip(local, lo, hi)])

@@ -263,6 +263,27 @@ class TestFitRepeatable:
         assert_same_fit(lambda: gp.fit(data, noise=noise), lambda: gp.fit(data, noise=noise))
 
 
+class TestCachedGrids:
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_fits_on_other_widths_leave_a_fit_unchanged(self, noise):
+        data = make_dataset(noise=0.05)
+        gp._ls_grid.cache_clear()
+        first = gp.fit(data, noise=noise)
+        for hi in (0.5, 3.0, 6500.0):
+            other = gp.Dataset(X=np.linspace(0.0, hi, 9), y=np.cos(np.arange(9.0)), bounds=(0.0, hi))
+            gp.fit(other, noise=noise)
+        assert_same_fit(lambda: first, lambda: gp.fit(data, noise=noise))
+
+    def test_grids_are_built_once_and_read_only(self):
+        grid = gp._ls_grid(3.0)
+        assert gp._ls_grid(3.0) is grid
+        assert np.array_equal(grid, np.geomspace(3e-3, 6.0, 32))
+        assert np.array_equal(gp._NOISE_GRID, np.geomspace(1e-6, 1.0, 8))
+        for constant in (grid, gp._NOISE_GRID, gp._NO_NOISE):
+            with pytest.raises(ValueError):
+                constant[0] = 1.0
+
+
 def clamped_start(data: gp.Dataset, start: float) -> float:
     width = data.bounds[1] - data.bounds[0]
     return min(max(start, 1e-3 * width), 2.0 * width)

@@ -268,6 +268,18 @@ class TestKrigingSBO:
         res = opt.kriging_sbo(problem(sphere, SYM, 8), 0, designSize=7)
         assert res.evals_used == 8
 
+    def test_each_guided_iteration_predicts_once_on_every_candidate(self, monkeypatch):
+        real_predict, sizes = opt.gp.predict, []
+
+        def predict(model, x):
+            sizes.append(np.size(x))
+            return real_predict(model, x)
+
+        monkeypatch.setattr(opt.gp, "predict", predict)
+        res = opt.kriging_sbo(problem(sphere, SYM, 12), 0, designSize=7)
+        assert res.evals_used == 12
+        assert sizes == [opt.EI_CANDIDATES + 64] * 5
+
     def test_lhs_one_point_per_stratum(self):
         rng = np.random.default_rng(4)
         pts = opt.latin_hypercube(rng, UNIT, 7)
@@ -410,6 +422,18 @@ def test_trace_monotone_and_budget_respected(algo, seed, budget):
     assert len(res.trace) == res.evals_used
     assert np.all(np.diff(res.trace) <= 0)
     assert res.best_y == res.trace[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ends=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True).map(sorted),
+       seed=st.integers(0, 2**32 - 1),
+       size=st.one_of(st.none(), st.integers(0, 70), st.just(2048)))
+@example(ends=[0.0, 1.0], seed=0, size=None)  # GeneralizedSA's acceptance draw
+def test_uniform_draws_equal_rng_uniform(ends, seed, size):
+    got = opt._uniform(np.random.default_rng(seed), tuple(ends), size)
+    want = np.random.default_rng(seed).uniform(*ends, size=size)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("algo", opt.ALGORITHMS)
