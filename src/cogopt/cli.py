@@ -23,30 +23,16 @@ import yaml
 from . import benchmark, cognition, gp, report
 from .errors import CogoptError, ConfigError, MalformedInput, ParseError, SchemaError, UnknownGoal
 from .knowledge import GoalSpec, KnowledgeBase, default_kb, load_kb, save_kb
-from .plant import DEFAULT_BOUNDS, VpsSimulator
+from .plant import PlantConfig, VpsSimulator
 from .rating import validate_weights
 
 CONFIG_ERRORS = (ConfigError, SchemaError, ParseError, FileNotFoundError, UnknownGoal)
 
 
 def _setup_logging():
-    level = os.environ.get("CAAI_LOG_LEVEL", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level not in levels:
-        level = "error"
-    logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
-
-
-@dataclass(frozen=True)
-class PlantConfig:
-    bounds: tuple[float, float] = DEFAULT_BOUNDS
-    noise_sd: float = 0.02
-    weights: tuple[float, float, float] = (1.0 / 3, 1.0 / 3, 1.0 / 3)
-    seed: int = 0
-    seed_data: str | None = None
-
-    def __post_init__(self):
-        validate_weights("weights", self.weights)  # the loader prefixes "plant."
+    level = levels.get(os.environ.get("CAAI_LOG_LEVEL", "error").lower(), logging.ERROR)
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 @dataclass(frozen=True)
@@ -161,11 +147,15 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ParseError(f"malformed config: {exc}") from exc
+    base = Path(path).parent
+    plant = doc.get("plant") if isinstance(doc, dict) else None
+    if isinstance(plant, dict) and isinstance(plant.get("seed_data"), str):  # PlantConfig reads it
+        doc = dict(doc, plant=dict(plant, seed_data=str(base / plant["seed_data"])))
     cfg = override(RunConfig(), doc)
     if seed_override is not None:
         cfg = override(cfg, {"plant": {"seed": seed_override},
                              "cognition": {"master_seed": seed_override}})
-    return dataclasses.replace(cfg, kb=str(Path(path).parent / cfg.kb),
+    return dataclasses.replace(cfg, kb=str(base / cfg.kb),
                                output_dir=out_override or cfg.output_dir)
 
 
@@ -179,16 +169,6 @@ def _load_served_kb(cfg: RunConfig, budget_key: str, budget: int) -> KnowledgeBa
             raise ConfigError(f"{budget_key}: must exceed {name}'s designSize default {design}, "
                               f"got {budget}")
     return kb
-
-
-def _make_plant(cfg: RunConfig) -> VpsSimulator:
-    return VpsSimulator(
-        weights=cfg.plant.weights,
-        noise_sd=cfg.plant.noise_sd,
-        seed=cfg.plant.seed,
-        bounds=cfg.plant.bounds,
-        seed_data_path=cfg.plant.seed_data,
-    )
 
 
 @click.group()
@@ -257,7 +237,7 @@ def run(ctx, cycles, theta, epsilon):
         cfg = override(cfg, {"cycles": cfg.cycles if cycles is None else cycles,
                              "cognition": {k: v for k, v in flags.items() if v is not None}})
         kb = _load_served_kb(cfg, "cognition.bench_budget", cfg.cognition.bench_budget)
-        plant = _make_plant(cfg)
+        plant = VpsSimulator(cfg.plant)
         out = _prepare_out(cfg)
         log_path = out / "runlog.jsonl"
         if log_path.exists() and not ctx.obj["force"]:
@@ -296,7 +276,7 @@ def benchmark_cmd(ctx):
             raise ConfigError("goal.direction: the campaign ranks by least best_y, "
                               "so it cannot benchmark a maximize goal")
         kb = _load_served_kb(cfg, "campaign.budget", cfg.campaign.budget)
-        plant = _make_plant(cfg)
+        plant = VpsSimulator(cfg.plant)
         out = _prepare_out(cfg)
         records = report.campaign(
             plant, kb, cfg.goal.path, master_seed=cfg.cognition.master_seed,
@@ -339,7 +319,7 @@ def simulate(ctx, instances):
 
     def body():
         cfg = load_config(ctx.obj["config_path"], ctx.obj["seed"], ctx.obj["out"])
-        plant = _make_plant(cfg)
+        plant = VpsSimulator(cfg.plant)
         out = _prepare_out(cfg)
         k = instances if instances is not None else cfg.campaign.k_instances
         objectives = report.build_objectives(plant, k, cfg.cognition.master_seed)

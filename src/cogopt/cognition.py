@@ -71,6 +71,8 @@ class CognitionConfig:
             raise SchemaError("reps: must be >= 1")
         if self.design_reps < 1:
             raise SchemaError("design_reps: must be >= 1")
+        if self.master_seed < 0:
+            raise SchemaError(f"master_seed: must be >= 0, got {self.master_seed}")
         validate_weights("weights", self.weights)
 
     def resolved_epsilon(self, bounds) -> float:

@@ -34,6 +34,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from .errors import SchemaError, SingularCovariance
 
 GRID_SIZE = 512            # default realization grid resolution
+MAX_WIDTH = 1e150          # widest bounds: the top grid lengthscale's 2 ls^2 stays finite
 _NUGGET_FLOOR = 1e-10      # least nugget, as a fraction of the signal variance
 
 
@@ -56,7 +57,7 @@ def _ls_grid(width: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Dataset:
     """Observed settings X (n,) of the one parameter with responses y (n,)
-    inside bounds (lo, hi)."""
+    inside bounds (lo, hi) at most `MAX_WIDTH` wide."""
 
     X: np.ndarray
     y: np.ndarray
@@ -72,14 +73,16 @@ class Dataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "bounds", (lo, hi))
+        # each message starts with the field it refuses
         if X.size != y.size:
-            raise SchemaError("X and y must have the same length")
+            raise SchemaError("y: must have the length of X")
         if y.size < 2:
-            raise SchemaError("need at least two observations")
-        if not lo < hi:
-            raise SchemaError("bounds need lo < hi")
+            raise SchemaError("y: need at least two observations")
+        if not 0.0 < hi - lo <= MAX_WIDTH:  # NaN and inf fail too
+            raise SchemaError(f"bounds: need lo < hi at most {MAX_WIDTH:g} apart, got {[lo, hi]}")
         if np.any(X < lo - 1e-9) or np.any(X > hi + 1e-9):
-            raise SchemaError("data points outside declared bounds")
+            raise SchemaError(f"bounds: {[lo, hi]} do not contain the settings "
+                              f"{[float(X.min()), float(X.max())]}")
 
     @property
     def n(self) -> int:

@@ -39,10 +39,10 @@ class OptProblem:
     budget: int
 
     def __post_init__(self):
-        lo, hi = np.asarray(self.bounds, dtype=float).reshape(2)
-        if not lo < hi:
-            raise ConfigError("bounds need lo < hi")
-        self.bounds = (float(lo), float(hi))
+        lo, hi = map(float, np.asarray(self.bounds, dtype=float).reshape(2))
+        if not 0.0 < hi - lo < math.inf:  # NaN fails too
+            raise ConfigError(f"bounds need lo < hi with a finite width, got {[lo, hi]}")
+        self.bounds = (lo, hi)
         if self.budget < 1:
             raise ConfigError("budget must be >= 1")
 
@@ -360,23 +360,11 @@ def latin_hypercube(rng, bounds, n: int) -> np.ndarray:
 
 
 def _expected_improvement(mu, var, y_best):
-    """(y_best - mu) * ndtr(z) + sd * pdf(z) with z = (y_best - mu) / sd, in four arrays.
-
-    The same ufuncs in the same order as the plain expression; `mu` and
-    `var` are not written.
-    """
-    sd = np.maximum(var, 1e-18)
-    np.sqrt(sd, out=sd)
-    gain = np.subtract(y_best, mu)
-    z = np.divide(gain, sd)
-    pdf = np.square(z)
-    np.negative(pdf, out=pdf)
-    np.divide(pdf, 2.0, out=pdf)
-    np.exp(pdf, out=pdf)
-    np.divide(pdf, np.sqrt(2 * np.pi), out=pdf)
-    np.multiply(gain, ndtr(z, out=z), out=gain)
-    np.multiply(sd, pdf, out=pdf)
-    return np.add(gain, pdf, out=gain)
+    """(y_best - mu) * ndtr(z) + sd * pdf(z) with z = (y_best - mu) / sd."""
+    sd = np.sqrt(np.maximum(var, 1e-18))
+    gain = y_best - mu
+    z = gain / sd
+    return gain * ndtr(z) + sd * (np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi))
 
 
 def kriging_sbo(problem: OptProblem, seed: int, designSize: int = 7,

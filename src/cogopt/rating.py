@@ -28,9 +28,10 @@ def validate_weights(name: str, weights) -> None:
     weights = tuple(float(w) for w in weights)
     if len(weights) != 3:
         raise SchemaError(f"{name}: need three weights, got {len(weights)}")
-    if any(w <= 0.0 for w in weights):
+    # written so that NaN fails both comparisons
+    if not all(w > 0.0 for w in weights):
         raise SchemaError(f"{name}: must be strictly positive, got {weights}")
-    if abs(sum(weights) - 1.0) > 1e-9:
+    if not abs(sum(weights) - 1.0) <= 1e-9:
         raise SchemaError(f"{name}: must sum to 1, got sum {sum(weights)}")
 
 

@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from . import benchmark, gp
+from . import benchmark
 from .benchmark import EvaluationRecord, pearson_correlation, rank_algorithms, run_campaign
 from .errors import DegenerateInput, MalformedInput
 from .knowledge import KnowledgeBase, compose_pipelines
@@ -31,11 +31,9 @@ def portfolio_from_kb(kb: KnowledgeBase, goal_path) -> list[tuple[str, dict]]:
 
 
 def build_objectives(plant: VpsSimulator, k_instances: int, master_seed: int) -> dict:
-    """Ground-truth objective plus k unconditional simulation instances."""
-    seed_data = plant._seed_data
-    data = gp.Dataset(X=seed_data[:, 0], y=seed_data[:, 1:4] @ np.asarray(plant.weights),
-                      bounds=plant.bounds)
-    S = benchmark.generate_test_functions(data, k_instances, master_seed=master_seed)
+    """Ground-truth objective plus k unconditional simulations of the seed aggregate."""
+    S = benchmark.generate_test_functions(plant.config.aggregate_data, k_instances,
+                                          master_seed=master_seed)
     objectives = {GROUND_TRUTH: plant.ground_truth_objective()}
     for i, inst in enumerate(S):
         objectives[f"{SIM_PREFIX}{i}"] = inst

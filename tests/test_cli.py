@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 import string
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from cogopt.benchmark import EvaluationRecord, rank_algorithms, records_to_csv
 from cogopt.cli import RunConfig, default_config_doc, load_config, main
 from cogopt.knowledge import load_kb
 from cogopt.optimizers import ALGORITHMS
+from cogopt.plant import VpsSimulator, load_seed_dataset
 from cogopt.rating import rate_pipelines
 
 
@@ -378,10 +381,10 @@ class TestErrors:
     @pytest.mark.parametrize("budget", [4, 7])
     def test_budget_within_a_design_size_is_refused_before_the_plant_runs(
             self, runner, tmp_path, monkeypatch, command, section, key, extra, budget):
-        def no_plant(cfg):
+        def no_plant(config):
             raise AssertionError("the plant was built")
 
-        monkeypatch.setattr(cli, "_make_plant", no_plant)
+        monkeypatch.setattr(cli, "VpsSimulator", no_plant)
         cfg = write_project(tmp_path, **{section: {key: budget, **extra}})
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o")] + command)
         assert res.exit_code == 2, res.output
@@ -440,6 +443,10 @@ class TestErrors:
         ("cognition", {"design_kind": "full_factorial"}, "cognition.design_kind"),
         ("plant", {"weights": [0.5, 0.5, 0.0]}, "plant.weights"),
         ("cognition", {"weights": [0.5, 0.5, 0.0]}, "cognition.weights"),
+        ("plant", {"weights": [math.nan, 0.5, 0.5]}, "plant.weights"),
+        ("cognition", {"weights": [0.8, math.nan, 0.1]}, "cognition.weights"),
+        ("rating", {"scenarios": [[0.8, 0.1, math.nan]]}, "rating.scenarios[0]"),
+        ("cognition", {"master_seed": -1}, "cognition.master_seed"),
         ("rating", {"scenarios": [[0.8, 0.1, 0.1], [0.5, 0.5, 0.5]]}, "rating.scenarios[1]"),
     ])
     def test_bad_config_value(self, runner, tmp_path, key, value, named):
@@ -457,7 +464,93 @@ class TestErrors:
         assert res.exit_code == 2, res.output
         assert flag[0][2:] in res.output
 
+    @pytest.mark.parametrize("plant, message", [
+        ({"noise_sd": -1.0}, "plant.noise_sd: must be a finite number >= 0, got -1.0"),
+        ({"noise_sd": math.nan}, "plant.noise_sd: must be a finite number >= 0, got nan"),
+        ({"seed": -1}, "plant.seed: must be >= 0, got -1"),
+        ({"bounds": [7000, 500]}, "plant.bounds: need lo < hi at most 1e+150 apart"),
+        ({"bounds": [500, math.inf]}, "plant.bounds: need lo < hi at most 1e+150 apart"),
+        ({"bounds": [-1e200, 1e200]}, "plant.bounds: need lo < hi at most 1e+150 apart"),
+        ({"bounds": [0, 100]},
+         "plant.bounds: [0.0, 100.0] do not contain the settings [500.0, 7000.0]"),
+    ])
+    def test_bad_plant_setting_is_refused_naming_the_key(self, runner, tmp_path, plant, message):
+        cfg = write_project(tmp_path, plant=plant)
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "run", "--cycles", "0"])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+
+    def test_negative_seed_flag_is_refused(self, runner, tmp_path):
+        cfg = write_project(tmp_path)
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "--seed", "-1", "run", "--cycles", "0"])
+        assert res.exit_code == 2, res.output
+        assert "plant.seed: must be >= 0, got -1" in res.output
+
+    def test_bad_seed_file_names_the_key_file_and_line(self, runner, tmp_path):
+        (tmp_path / "seed.csv").write_text("x,f1,f2,f3,rep\n500,0.6,0.7,0.2,1\n7000,a,0.7,0.2,1\n")
+        cfg = write_project(tmp_path, plant={"seed_data": "seed.csv"})
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "run", "--cycles", "0"])
+        assert res.exit_code == 2, res.output
+        assert f"plant.seed_data: {tmp_path / 'seed.csv'} line 3: " in res.output
+
+    def test_seed_data_is_read_next_to_the_config(self, runner, tmp_path):
+        # the config's directory is not the working directory, as for `kb`
+        rows = load_seed_dataset()
+        rows[:, 1] += 0.5
+        with open(tmp_path / "seed.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["x", "f1", "f2", "f3", "rep"]] + rows.tolist())
+        cfg = write_project(tmp_path, plant={"seed_data": "seed.csv"})
+        loaded = load_config(cfg)
+        assert loaded.plant.seed_data == str(tmp_path / "seed.csv")
+        assert loaded.plant.curve_data[0].y.tolist() == rows[:, 1].tolist()
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "run", "--cycles", "0"])
+        assert res.exit_code == 0, res.output
+
     def test_log_level_env_accepted(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("CAAI_LOG_LEVEL", "debug")
         res = runner.invoke(main, ["init", str(tmp_path)])
         assert res.exit_code == 0
+
+
+def _edge_floats(*common):
+    return st.one_of(st.sampled_from(common + (math.nan, math.inf, -math.inf)), st.floats())
+
+
+@st.composite
+def plant_sections(draw):
+    """`plant` sections with reversed, infinite, NaN and very wide bounds, negative and NaN
+    noise, bad weights and negative seeds, next to valid ones."""
+    section = {}
+    if draw(st.booleans()):
+        section["bounds"] = [draw(_edge_floats(-1e200, -4e149, 0.0, 499.5, 500.0, 7000.0)),
+                             draw(_edge_floats(7000.0, 8000.0, 4e149, 1e200, 500.0))]
+    if draw(st.booleans()):
+        section["noise_sd"] = draw(_edge_floats(-1.0, 0.0, 0.02, 1e300))
+    if draw(st.booleans()):
+        section["weights"] = draw(st.one_of(
+            st.just([1 / 3] * 3), st.just([0.5, 0.25, 0.25]),
+            st.lists(_edge_floats(1 / 3, 0.5, 0.0, -0.5), max_size=4)))
+    if draw(st.booleans()):
+        section["seed"] = draw(st.integers(-2, 2))
+    return section
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(section=plant_sections())
+def test_a_plant_section_builds_the_plant_or_is_refused(tmp_path, section):
+    doc = default_config_doc()
+    doc["plant"].update(section)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            plant = VpsSimulator(load_config(path).plant)
+        except cli.CONFIG_ERRORS:
+            return
+    lo, hi = plant.bounds
+    assert math.isfinite(plant.ground_truth((lo + hi) / 2))

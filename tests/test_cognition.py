@@ -65,6 +65,8 @@ class TestConfig:
             CognitionConfig(reps=0)
         with pytest.raises(SchemaError, match="^design_reps:"):
             CognitionConfig(design_reps=0)
+        with pytest.raises(SchemaError, match="^master_seed: must be >= 0, got -1"):
+            CognitionConfig(master_seed=-1)
         with pytest.raises(SchemaError, match="^weights: .*sum to 1"):
             CognitionConfig(weights=(0.8, 0.2, 0.2))
 

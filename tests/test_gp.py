@@ -31,8 +31,24 @@ class TestDataset:
             gp.Dataset(X=[0.1], y=[1.0], bounds=BOUNDS)
 
     def test_points_outside_bounds(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"^bounds: \[0\.0, 1\.0\] do not contain the "
+                                              r"settings \[0\.1, 1\.5\]"):
             gp.Dataset(X=[0.1, 1.5], y=[1.0, 2.0], bounds=BOUNDS)
+
+    @pytest.mark.parametrize("bounds", [(1.0, 0.0), (0.0, np.inf), (np.nan, 1.0),
+                                        (0.0, 2 * gp.MAX_WIDTH), (-1e308, 1e308)])
+    def test_bounds_must_be_ordered_and_at_most_max_width_apart(self, bounds):
+        with pytest.raises(SchemaError, match="^bounds: need lo < hi at most"):
+            gp.Dataset(X=[0.1, 0.2], y=[1.0, 2.0], bounds=bounds)
+
+    def test_the_widest_bounds_fit_and_simulate_without_overflow(self):
+        # past MAX_WIDTH, the top grid lengthscale's 2 ls^2 overflows in `_score_grid`
+        data = gp.Dataset(X=[0.0, 1.0, 2.0, 5.0], y=[1.0, 0.0, 2.0, 1.5],
+                          bounds=(0.0, gp.MAX_WIDTH))
+        for noise in (False, True):
+            model = gp.fit(data, noise=noise)
+            curve = gp.simulate_conditional(model, gp.default_grid(data.bounds, 64), seed=0)
+            assert np.all(np.isfinite(curve.values))
 
     def test_one_row_of_inputs_is_not_transposed(self):
         # a 2-d X is refused, not read as three settings with three responses

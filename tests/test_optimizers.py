@@ -457,6 +457,14 @@ def test_maximization_by_negation():
     assert evaluated_best == pytest.approx(f(res_min.best_x))
 
 
+@pytest.mark.parametrize("algo", opt.ALGORITHMS)
+@pytest.mark.parametrize("bounds", [(-1e308, 1e308), (0.0, float("inf")), (float("nan"), 1.0)])
+def test_a_width_that_is_not_finite_is_refused(algo, bounds):
+    # at (-1e308, 1e308), hi - lo overflows, and each draw lo + (hi - lo) * u would be inf
+    with pytest.raises(ConfigError, match="finite width"):
+        opt.run_optimizer(algo, problem(sphere, bounds, 5), 0)
+
+
 def test_run_optimizer_unknown_algorithm():
     with pytest.raises(ConfigError):
         opt.run_optimizer("GradientDescent", problem(sphere, SYM, 10), 0)

@@ -36,6 +36,12 @@ class TestWeights:
         with pytest.raises(SchemaError, match="^weights: .*strictly positive"):
             validate_weights("weights", (1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5)])
+    def test_nan_is_refused(self, weights):
+        # NaN fails `w <= 0` and `abs(sum - 1) > 1e-9` alike, so both checks must refuse it
+        with pytest.raises(SchemaError, match="^weights: must be strictly positive"):
+            validate_weights("weights", weights)
+
     def test_sum_must_be_one(self):
         with pytest.raises(SchemaError, match=r"^scenarios\[1\]: .*sum to 1"):
             validate_weights("scenarios[1]", (0.5, 0.3, 0.3))
