@@ -23,7 +23,7 @@ import yaml
 from . import benchmark, cognition, gp, report
 from .errors import CogoptError, ConfigError, MalformedInput, ParseError, SchemaError, UnknownGoal
 from .knowledge import GoalSpec, KnowledgeBase, default_kb, load_kb, save_kb
-from .plant import PlantConfig, VpsSimulator
+from .plant import SIGNALS, PlantConfig, VpsSimulator
 from .rating import validate_weights
 
 CONFIG_ERRORS = (ConfigError, SchemaError, ParseError, FileNotFoundError, UnknownGoal)
@@ -65,8 +65,7 @@ class RunConfig:
     kb: str = "kb.yaml"
     output_dir: str = "out"
     cycles: int = 36
-    goal: GoalSpec = field(default_factory=lambda: GoalSpec(
-        "Optimization", ("energy", "processing_time", "corn_amount"), "mean", "minimize"))
+    goal: GoalSpec = field(default_factory=lambda: GoalSpec("Optimization", SIGNALS, "mean", "minimize"))
     plant: PlantConfig = field(default_factory=PlantConfig)
     cognition: cognition.CognitionConfig = field(default_factory=cognition.CognitionConfig)
     rating: RatingConfig = field(default_factory=RatingConfig)
@@ -75,6 +74,9 @@ class RunConfig:
     def __post_init__(self):
         if self.cycles < 0:
             raise SchemaError(f"cycles: must be >= 0, got {self.cycles}")
+        if sorted(self.goal.signals) != sorted(SIGNALS):
+            raise SchemaError(f"goal.signals: must name the plant's signals {list(SIGNALS)} "
+                              f"once each, got {list(self.goal.signals)}")
 
 
 def _to_doc(value):

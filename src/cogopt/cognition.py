@@ -39,7 +39,7 @@ from .knowledge import (
     select_candidates,
     update_characteristics,
 )
-from .plant import PlantAdapter, ProductionCycleRecord
+from .plant import SIGNALS, PlantAdapter, ProductionCycleRecord
 from .rating import RatingTable, rate_pipelines, validate_weights
 
 log = logging.getLogger("cogopt.cognition")
@@ -251,9 +251,7 @@ def step(
         "iteration": state.iteration,
         "x": state.x,
         "objective": last.aggregate,
-        "f1": last.f1,
-        "f2": last.f2,
-        "f3": last.f3,
+        **{name: getattr(last, name) for name in SIGNALS},
         "p_best": state.p_best,
         "zeta": state.zeta,
         "selection_ran": selection_ran,

@@ -28,7 +28,7 @@ KB_VERSION_KEY = "caai_kb_version"
 KB_VERSION = 1
 
 OVERALL_GOALS = ("Optimization",)
-AGGREGATIONS = ("mean",)  # the plant computes one aggregate, its weighted mean
+AGGREGATIONS = ("mean",)  # the plant computes one aggregate, the mean of its signals
 DIRECTIONS = ("minimize", "maximize")
 # YAML spelling of a parameter type -> ParameterSpec kind; dump_kb writes each kind's first spelling
 PARAM_TYPES = {"int": "integer", "integer": "integer", "real": "real", "float": "real",
@@ -160,8 +160,15 @@ class KnowledgeBase:
 
 @dataclass(frozen=True)
 class ResourceBudget:
-    max_parallel_pipelines: int = 4
-    deadline: float = 60.0
+    max_parallel_pipelines: int = 4  # a cycle needs the baseline and one competitor
+    deadline: float = 60.0  # limit on the CPU seconds of a pipeline's latest record
+
+    def __post_init__(self):
+        # each message starts with its field, so the config loader can prefix the section
+        if self.max_parallel_pipelines < 2:
+            raise SchemaError(f"max_parallel_pipelines: must be >= 2, got {self.max_parallel_pipelines}")
+        if not self.deadline > 0.0:  # written so that NaN fails
+            raise SchemaError(f"deadline: must be > 0, got {self.deadline}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The simulator carries three ground-truth objective curves (energy,
 processing time, corn amount per box) built by conditional GP simulation
 over a bundled seed dataset of 12 conveyor-runtime settings x 3 repetitions.
 Each applied parameter yields one production cycle record whose scalar
-objective is the weighted sum of the three normalized objectives.
+objective is the mean of the three normalized objectives, its `SIGNALS`.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ import numpy as np
 from . import gp
 from .benchmark import derive_seed
 from .errors import OutOfBounds, SchemaError
-from .rating import validate_weights
 
+SIGNALS = ("f1", "f2", "f3")  # the record's fields, one per objective curve
 SEED_DATA_RESOURCE = "vps_seed.csv"
-SEED_COLUMNS = ["x", "f1", "f2", "f3", "rep"]
+SEED_COLUMNS = ["x", *SIGNALS, "rep"]
+_WEIGHT = 1.0 / len(SIGNALS)
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,13 @@ class PlantAdapter:
 
 def load_seed_dataset(path=None) -> np.ndarray:
     """Rows (x, f1, f2, f3, rep) of the bundled or user-supplied seed CSV; a SchemaError
-    names the file and the line of a missing header, a bad row or too few rows."""
+    names the file, and the line of a missing header, a bad row or too few rows."""
     ref = importlib.resources.files("cogopt.data") / SEED_DATA_RESOURCE if path is None else Path(path)
-    rows = list(csv.reader(ref.read_text().rstrip().splitlines()))
+    try:
+        text = ref.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text, say
+        raise SchemaError(f"{ref}: cannot read it as UTF-8 text: {exc}") from exc
+    rows = list(csv.reader(text.rstrip().splitlines()))
     if rows[:1] != [SEED_COLUMNS]:
         raise SchemaError(f"{ref} line 1: need the header {','.join(SEED_COLUMNS)}")
     if len(rows) < 3:
@@ -72,6 +77,15 @@ def load_seed_dataset(path=None) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in rows[1:]])
 
 
+def aggregate(fs):
+    """The mean of one value (or array) per signal: `w * f` with w = 1/3, added left to
+    right.  A plain loop, because sum() compensates rounding from Python 3.12 on."""
+    y = 0.0
+    for f in fs:
+        y = y + _WEIGHT * f
+    return y
+
+
 @dataclass(frozen=True)
 class PlantConfig:
     """The plant's settings with their defaults, each checked when the object is built; a
@@ -81,12 +95,10 @@ class PlantConfig:
 
     bounds: tuple[float, float] = (500.0, 7000.0)  # conveyor runtime in ms
     noise_sd: float = 0.02
-    weights: tuple[float, float, float] = (1.0 / 3, 1.0 / 3, 1.0 / 3)  # one per objective curve
     seed: int = 0
     seed_data: str | None = None  # a CSV with the columns x,f1,f2,f3,rep; None: the bundled one
 
     def __post_init__(self):
-        validate_weights("weights", self.weights)
         if not 0.0 <= self.noise_sd < math.inf:
             raise SchemaError(f"noise_sd: must be a finite number >= 0, got {self.noise_sd}")
         if self.seed < 0:
@@ -96,18 +108,11 @@ class PlantConfig:
         except SchemaError as exc:
             raise SchemaError(f"seed_data: {exc}") from exc
         # gp.Dataset's bounds checks: finite, lo < hi, not too wide, around the seed settings
-        aggregate_data = gp.Dataset(X=x, y=self.aggregate(fs), bounds=self.bounds)
+        aggregate_data = gp.Dataset(X=x, y=aggregate(fs), bounds=self.bounds)
         object.__setattr__(self, "bounds", aggregate_data.bounds)  # as floats
         object.__setattr__(self, "aggregate_data", aggregate_data)
         object.__setattr__(self, "curve_data",
                            tuple(gp.Dataset(X=x, y=f, bounds=self.bounds) for f in fs))
-
-    def aggregate(self, fs):
-        """Weighted sum of one value (or array) per curve, left to right, unlike sum()."""
-        y = 0.0
-        for w, f in zip(self.weights, fs):
-            y = y + w * f
-        return y
 
 
 class VpsSimulator(PlantAdapter):
@@ -132,8 +137,8 @@ class VpsSimulator(PlantAdapter):
         return tuple(self._records)
 
     def ground_truth(self, x: float) -> float:
-        """Noise-free weighted aggregate; the landscape the optimizers chase."""
-        return self.config.aggregate([c(x) for c in self._curves])
+        """Noise-free aggregate; the landscape the optimizers chase."""
+        return aggregate([c(x) for c in self._curves])
 
     def ground_truth_objective(self):
         return self.ground_truth
@@ -149,7 +154,7 @@ class VpsSimulator(PlantAdapter):
         record = ProductionCycleRecord(
             x=x,
             f1=fs[0], f2=fs[1], f3=fs[2],
-            aggregate=self.config.aggregate(fs),
+            aggregate=aggregate(fs),
             timestamp=time.time(),
             cycle=len(self._records) + 1,
         )

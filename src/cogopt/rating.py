@@ -22,9 +22,9 @@ from .errors import MissingBaseline, SchemaError
 
 
 def validate_weights(name: str, weights) -> None:
-    """Every weight triple, the rating's (objective, memory, cpu) and the plant's
-    per-curve weights alike: three positive numbers summing to 1.  The
-    SchemaError starts with `name`, so the config loader can prefix the section."""
+    """A rating's (objective, memory, cpu) weight triple: three positive numbers
+    summing to 1.  The SchemaError starts with `name`, so the config loader can
+    prefix the section."""
     weights = tuple(float(w) for w in weights)
     if len(weights) != 3:
         raise SchemaError(f"{name}: need three weights, got {len(weights)}")
@@ -75,7 +75,8 @@ def _minmax(values: np.ndarray, larger_is_better: bool) -> np.ndarray:
     if values.size <= 1:
         return np.ones(values.size)
     lo, hi = float(values.min()), float(values.max())
-    if hi - lo < 1e-15:
+    # values equal up to rounding tie, rather than spread over [0, 1]
+    if hi - lo < 1e-15 or hi - lo <= 1e-9 * max(abs(lo), abs(hi)):
         return np.ones(values.size)
     norm = (values - lo) / (hi - lo)
     return norm if larger_is_better else 1.0 - norm

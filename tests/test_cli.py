@@ -57,6 +57,16 @@ class TestInit:
         cfg = load_config(tmp_path / "config.yaml")
         assert cfg.cycles == 36
 
+    def test_the_template_goal_names_the_plant_signals(self, runner, tmp_path):
+        assert runner.invoke(main, ["init", str(tmp_path)]).exit_code == 0
+        doc = yaml.safe_load((tmp_path / "config.yaml").read_text())
+        leaves = lambda d: sum(leaves(v) if isinstance(v, dict) else 1 for v in d.values())
+        assert leaves(doc) == 28 and "weights" not in doc["plant"]
+        assert doc["goal"]["signals"] == ["f1", "f2", "f3"]
+        res = runner.invoke(main, ["--config", str(tmp_path / "config.yaml"),
+                                   "--out", str(tmp_path / "o"), "run", "--cycles", "0"])
+        assert res.exit_code == 0, res.output
+
     def test_template_loads_as_the_defaults(self, runner, tmp_path):
         assert runner.invoke(main, ["init", str(tmp_path)]).exit_code == 0
         cfg = load_config(tmp_path / "config.yaml")
@@ -435,15 +445,12 @@ class TestErrors:
         ("cognition", {"reps": 0}, "cognition.reps"),
         ("cognition", {"design_reps": 0}, "cognition.design_reps"),
         ("cognition", {"k_instances": 5}, "cognition.k_instances"),
-        ("plant", {"weights": [0.5, 0.5]}, "plant.weights"),
         ("goal", {"direction": "sideways"}, "goal.direction"),
         ("campaign", {"checkpoints": [24, 36]}, "campaign.checkpoints"),
         ("campaign", {"workers": 2}, "campaign.workers"),
         ("cycles", -1, "cycles"),
         ("cognition", {"design_kind": "full_factorial"}, "cognition.design_kind"),
-        ("plant", {"weights": [0.5, 0.5, 0.0]}, "plant.weights"),
         ("cognition", {"weights": [0.5, 0.5, 0.0]}, "cognition.weights"),
-        ("plant", {"weights": [math.nan, 0.5, 0.5]}, "plant.weights"),
         ("cognition", {"weights": [0.8, math.nan, 0.1]}, "cognition.weights"),
         ("rating", {"scenarios": [[0.8, 0.1, math.nan]]}, "rating.scenarios[0]"),
         ("cognition", {"master_seed": -1}, "cognition.master_seed"),
@@ -481,6 +488,35 @@ class TestErrors:
         assert res.exit_code == 2, res.output
         assert message in res.output
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("plant", {"weights": [0.5, 0.25, 0.25]}, "plant.weights: unknown key"),
+        ("goal", {"signals": ["banana"]},
+         "goal.signals: must name the plant's signals ['f1', 'f2', 'f3'] once each, got ['banana']"),
+        ("goal", {"signals": ["f1"]}, "goal.signals: must name the plant's signals"),
+        ("goal", {"signals": ["f1", "f1", "f2"]}, "goal.signals: must name the plant's signals"),
+        ("goal", {"signals": ["energy", "processing_time", "corn_amount"]},  # an old template's
+         "goal.signals: must name the plant's signals"),
+        ("resources", {"max_parallel_pipelines": 1}, "resources.max_parallel_pipelines: must be >= 2"),
+        ("resources", {"max_parallel_pipelines": 0}, "resources.max_parallel_pipelines: must be >= 2"),
+        ("resources", {"max_parallel_pipelines": -1}, "resources.max_parallel_pipelines: must be >= 2"),
+        ("resources", {"deadline": -5.0}, "resources.deadline: must be > 0, got -5.0"),
+        ("resources", {"deadline": 0}, "resources.deadline: must be > 0, got 0.0"),
+        ("resources", {"deadline": math.nan}, "resources.deadline: must be > 0, got nan"),
+    ])
+    def test_a_setting_the_loop_cannot_serve_is_refused(self, runner, tmp_path, section, value,
+                                                        message):
+        cfg = write_project(tmp_path, **{section: value})
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "run", "--cycles", "0"])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+
+    def test_the_goal_signals_may_come_in_any_order(self, runner, tmp_path):
+        cfg = write_project(tmp_path, goal={"signals": ["f3", "f1", "f2"]})
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "run", "--cycles", "0"])
+        assert res.exit_code == 0, res.output
+
     def test_negative_seed_flag_is_refused(self, runner, tmp_path):
         cfg = write_project(tmp_path)
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -495,6 +531,19 @@ class TestErrors:
                                    "run", "--cycles", "0"])
         assert res.exit_code == 2, res.output
         assert f"plant.seed_data: {tmp_path / 'seed.csv'} line 3: " in res.output
+
+    @pytest.mark.parametrize("name, body", [("seeds", None), ("seed.csv", b"\xff\xfe\x00x")])
+    def test_a_seed_file_that_cannot_be_read_names_the_key(self, runner, tmp_path, name, body):
+        # a directory, or a file that is not UTF-8 text
+        if body is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(body)
+        cfg = write_project(tmp_path, plant={"seed_data": name})
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "run", "--cycles", "0"])
+        assert res.exit_code == 2, res.output
+        assert f"plant.seed_data: {tmp_path / name}: cannot read it as UTF-8 text" in res.output
 
     def test_seed_data_is_read_next_to_the_config(self, runner, tmp_path):
         # the config's directory is not the working directory, as for `kb`
@@ -523,17 +572,13 @@ def _edge_floats(*common):
 @st.composite
 def plant_sections(draw):
     """`plant` sections with reversed, infinite, NaN and very wide bounds, negative and NaN
-    noise, bad weights and negative seeds, next to valid ones."""
+    noise and negative seeds, next to valid ones."""
     section = {}
     if draw(st.booleans()):
         section["bounds"] = [draw(_edge_floats(-1e200, -4e149, 0.0, 499.5, 500.0, 7000.0)),
                              draw(_edge_floats(7000.0, 8000.0, 4e149, 1e200, 500.0))]
     if draw(st.booleans()):
         section["noise_sd"] = draw(_edge_floats(-1.0, 0.0, 0.02, 1e300))
-    if draw(st.booleans()):
-        section["weights"] = draw(st.one_of(
-            st.just([1 / 3] * 3), st.just([0.5, 0.25, 0.25]),
-            st.lists(_edge_floats(1 / 3, 0.5, 0.0, -0.5), max_size=4)))
     if draw(st.booleans()):
         section["seed"] = draw(st.integers(-2, 2))
     return section

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 import string
 from dataclasses import fields, replace
@@ -108,7 +109,7 @@ class TestGoalSpec:
 
     @pytest.mark.parametrize("aggregation", ["delta", "min", "max", "value"])
     def test_only_the_mean_runs(self, aggregation):
-        # the plant computes one aggregate, the weighted mean of its signals
+        # the plant computes one aggregate, the mean of its signals
         with pytest.raises(SchemaError, match=f"^aggregation: .*{aggregation!r}"):
             GoalSpec("Optimization", ("f",), aggregation, "minimize")
 
@@ -359,10 +360,21 @@ class TestSelectCandidates:
     def test_subset_of_input(self):
         kb = kb_of(entry("A"), entry("B"), entry("C"), entry("D"), entry("E"))
         pipes = compose_pipelines(kb, GOAL.path)
-        for limit in (1, 3, 10):
+        for limit in (2, 3, 10):
             out = select_candidates(pipes, ResourceBudget(max_parallel_pipelines=limit), [])
             assert set(e.name for e in out) <= set(e.name for e in pipes)
             assert len(out) <= limit
+
+    @pytest.mark.parametrize("limit", [1, 0, -1])
+    def test_a_limit_below_two_is_refused(self, limit):
+        # the baseline alone has no competitor, so the loop would never move
+        with pytest.raises(SchemaError, match=f"^max_parallel_pipelines: must be >= 2, got {limit}"):
+            ResourceBudget(max_parallel_pipelines=limit)
+
+    @pytest.mark.parametrize("deadline", [-5.0, 0.0, math.nan])
+    def test_a_deadline_that_is_not_positive_is_refused(self, deadline):
+        with pytest.raises(SchemaError, match="^deadline: must be > 0"):
+            ResourceBudget(deadline=deadline)
 
 
 class TestUpdate:

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogopt.errors import OutOfBounds, SchemaError
-from cogopt.plant import PlantConfig, VpsSimulator, load_seed_dataset
+from cogopt.plant import SIGNALS, PlantConfig, ProductionCycleRecord, VpsSimulator, load_seed_dataset
 
 DEFAULT_BOUNDS = PlantConfig().bounds
+W = 1.0 / 3  # each signal's weight in the plant's aggregate, their mean
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,13 @@ class TestSeedDataset:
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))} line {line}: "):
             load_seed_dataset(path)
 
+    def test_a_directory_or_a_file_that_is_not_utf8_is_refused(self, tmp_path):
+        not_text = tmp_path / "seed.csv"
+        not_text.write_bytes(b"\xff\xfe\x00x")
+        for path in (tmp_path, not_text):
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: cannot read it"):
+                load_seed_dataset(path)
+
     def test_a_copy_of_the_bundled_file_reads_the_same(self, tmp_path):
         path = tmp_path / "seed.csv"
         np.savetxt(path, load_seed_dataset(), delimiter=",", header="x,f1,f2,f3,rep",
@@ -53,10 +61,6 @@ class TestSeedDataset:
 
 
 class TestConstruction:
-    def test_invalid_weights(self):
-        with pytest.raises(SchemaError, match="^weights: .*strictly positive"):
-            VpsSimulator(weights=(1.0, 0.0, 0.0))
-
     @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf")])
     def test_noise_must_be_finite(self, noise_sd):
         with pytest.raises(SchemaError, match="^noise_sd: must be a finite number >= 0"):
@@ -85,16 +89,11 @@ class TestConstruction:
             PlantConfig(seed_data=str(path))
 
     def test_settings_are_laid_over_the_config(self):
-        config = PlantConfig(seed=3, weights=(0.5, 0.25, 0.25))
+        config = PlantConfig(seed=3, noise_sd=0.05)
         plant = VpsSimulator(config, noise_sd=0.0)
         assert plant.config == dataclasses.replace(config, noise_sd=0.0)
         assert plant.bounds == (500.0, 7000.0)
         assert all(type(b) is float for b in VpsSimulator(bounds=[500, 7000]).bounds)
-
-    @pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
-    def test_one_weight_per_objective(self, weights):
-        with pytest.raises(SchemaError, match=f"^weights: need three weights, got {len(weights)}"):
-            VpsSimulator(weights=weights, noise_sd=0.0)
 
     def test_negative_noise(self):
         with pytest.raises(SchemaError, match="^noise_sd: "):
@@ -105,15 +104,19 @@ class TestConstruction:
         rows = load_seed_dataset()
         assert np.array_equal(data.X, rows[:, 0]) and data.bounds == plant.bounds
         # bit for bit: the plant's left-to-right sum, not a dot product
-        assert data.y.tolist() == [plant.config.aggregate(r[1:4].tolist()) for r in rows]
+        assert data.y.tolist() == [W * r[1] + W * r[2] + W * r[3] for r in rows]
 
 
 class TestApply:
-    def test_aggregate_is_weighted_sum(self):
+    def test_aggregate_is_the_mean_of_the_signals(self):
         # with noise too, the noisy objectives are added left to right
-        p = VpsSimulator(weights=(0.5, 0.25, 0.25), noise_sd=0.05, seed=1)
+        p = VpsSimulator(noise_sd=0.05, seed=1)
         r = p.apply(3000.0)
-        assert r.aggregate == 0.5 * r.f1 + 0.25 * r.f2 + 0.25 * r.f3
+        assert r.aggregate == W * r.f1 + W * r.f2 + W * r.f3
+
+    def test_each_signal_is_a_record_field(self):
+        fields = [f.name for f in dataclasses.fields(ProductionCycleRecord)]
+        assert fields[1:4] == list(SIGNALS)
 
     def test_out_of_bounds(self, plant):
         lo, hi = plant.bounds
@@ -175,11 +178,11 @@ class TestGroundTruth:
         diff = max(abs(a.ground_truth(x) - b.ground_truth(x)) for x in xs)
         assert diff > 0
 
-    def test_is_the_plain_left_to_right_weighted_sum(self, plant):
+    def test_is_the_plain_left_to_right_mean(self, plant):
         # sum() would compensate the rounding of Python floats from 3.12 on
-        (w0, w1, w2), (c0, c1, c2) = plant.config.weights, plant._curves
+        c0, c1, c2 = plant._curves
         for x in np.linspace(*DEFAULT_BOUNDS, 50):
-            assert plant.ground_truth(x) == w0 * c0(x) + w1 * c1(x) + w2 * c2(x)
+            assert plant.ground_truth(x) == W * c0(x) + W * c1(x) + W * c2(x)
 
     def test_objective_callable_is_the_ground_truth(self, plant):
         f = plant.ground_truth_objective()
@@ -191,7 +194,7 @@ class TestGroundTruth:
         data = load_seed_dataset()
         for x in np.unique(data[:, 0])[:4]:
             reps = data[data[:, 0] == x, 1:4]
-            agg = reps.mean(axis=0) @ np.array(plant.config.weights)
+            agg = reps.mean()
             lo = reps.min() - 0.5
             hi = reps.max() + 0.5
             assert lo <= plant.ground_truth(x) <= hi or abs(plant.ground_truth(x) - agg) < 1.0

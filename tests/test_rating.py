@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,3 +225,29 @@ def test_rating_is_the_mean_of_the_one_group_ratings(records, weights):
             assert getattr(rating, name) == pytest.approx(mean), name
     assert set(table.eliminated) == {
         p for p in table.ratings if all(p in t.eliminated for t in alone if p in t.ratings)}
+
+
+def _ulps(x, k):
+    """`x` moved by `k` units in the last place."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_y=st.floats(0.5, 2.0), improvement=st.floats(0.1, 1e3),
+       base_cpu=st.floats(1e-3, 1.0), cpu_ratio=st.floats(0.5, 1e3), n=st.integers(2, 4),
+       data=st.data())
+def test_values_equal_up_to_rounding_keep_their_norms(base_y, improvement, base_cpu, cpu_ratio,
+                                                      n, data):
+    """Competitors that tie on objective and CPU keep the norms of the tie when each value
+    moves by a few ulps, as a CPU clock's rounding moves them."""
+    y, cpu = base_y - improvement * base_y, base_cpu * cpu_ratio
+    names = [f"P{i}" for i in range(n)]
+    ulps = lambda x: _ulps(x, data.draw(st.integers(-4, 4)))
+    tied = [rec("Base", base_y, base_cpu, 100.0)] + [rec(p, y, cpu, 100.0) for p in names]
+    moved = [rec("Base", base_y, ulps(base_cpu), 100.0)] + [
+        rec(p, ulps(y), ulps(cpu), 100.0) for p in names]
+    norms = lambda records: {p: (r.norm_obj, r.norm_mem, r.norm_cpu, r.aggregate) for p, r
+                             in rate_pipelines(records, "Base", PAPER)[0].ratings.items()}
+    assert norms(moved) == norms(tied)
