@@ -11,6 +11,7 @@ dependent).
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -20,7 +21,7 @@ from scipy.special import stdtr
 
 from . import gp, optimizers
 from .errors import (CogoptError, ConfigError, DegenerateInput, DuplicatePipelineInGroup,
-                     MalformedInput)
+                     MalformedInput, read_text)
 from .knowledge import ParameterSpec
 
 log = logging.getLogger("cogopt.benchmark")
@@ -287,26 +288,26 @@ def records_to_csv(records: list[EvaluationRecord], path) -> None:
 
 
 def records_from_csv(path) -> list[EvaluationRecord]:
-    """The records of a `records_to_csv` file; a cell that is not a number is refused
-    with `MalformedInput` naming the file, the line and the column."""
+    """The records of a `records_to_csv` file; a SchemaError names a file that cannot be read
+    as UTF-8 text, and a MalformedInput the file, line and column of a cell that is not a
+    number."""
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(CSV_FIELDS) <= set(reader.fieldnames):
-            raise MalformedInput(f"{path}: expected columns {CSV_FIELDS}")
+    reader = csv.DictReader(io.StringIO(read_text(path)))
+    if reader.fieldnames is None or not set(CSV_FIELDS) <= set(reader.fieldnames):
+        raise MalformedInput(f"{path}: expected columns {CSV_FIELDS}")
 
-        def number(row, column, kind=float):
-            try:
-                return kind(row[column])
-            except (TypeError, ValueError):  # TypeError: a short row's missing cell
-                raise MalformedInput(f"{path}, line {reader.line_num}, column {column}: "
-                                     f"not a number: {row[column]!r}") from None
+    def number(row, column, kind=float):
+        try:
+            return kind(row[column])
+        except (TypeError, ValueError):  # TypeError: a short row's missing cell
+            raise MalformedInput(f"{path}, line {reader.line_num}, column {column}: "
+                                 f"not a number: {row[column]!r}") from None
 
-        for row in reader:
-            records.append(EvaluationRecord(
-                pipeline=row["pipeline"], instance=row["instance"],
-                budget=number(row, "budget", int), best_y=number(row, "best_y"),
-                cpu_time=number(row, "cpu_time"), memory_bytes=number(row, "memory_bytes"),
-                rank=number(row, "rank") if row["rank"] else None,
-            ))
+    for row in reader:
+        records.append(EvaluationRecord(
+            pipeline=row["pipeline"], instance=row["instance"],
+            budget=number(row, "budget", int), best_y=number(row, "best_y"),
+            cpu_time=number(row, "cpu_time"), memory_bytes=number(row, "memory_bytes"),
+            rank=number(row, "rank") if row["rank"] else None,
+        ))
     return records

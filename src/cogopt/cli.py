@@ -21,12 +21,13 @@ import click
 import yaml
 
 from . import benchmark, cognition, gp, report
-from .errors import CogoptError, ConfigError, MalformedInput, ParseError, SchemaError, UnknownGoal
+from .errors import (CogoptError, ConfigError, MalformedInput, ParseError, SchemaError,
+                     UnknownGoal, read_text)
 from .knowledge import GoalSpec, KnowledgeBase, default_kb, load_kb, save_kb
 from .plant import SIGNALS, PlantConfig, VpsSimulator
 from .rating import validate_weights
 
-CONFIG_ERRORS = (ConfigError, SchemaError, ParseError, FileNotFoundError, UnknownGoal)
+CONFIG_ERRORS = (ConfigError, SchemaError, ParseError, UnknownGoal)
 
 
 def _setup_logging():
@@ -60,7 +61,7 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Each field is a YAML key with its default; `override` reads the YAML layout."""
+    """Each field is a YAML key with its default, and a section a nested mapping."""
 
     kb: str = "kb.yaml"
     output_dir: str = "out"
@@ -88,9 +89,7 @@ def _to_doc(value):
 
 
 def default_config_doc() -> dict:
-    doc = _to_doc(RunConfig())
-    doc["resources"] = doc["cognition"].pop("resources")
-    return doc
+    return _to_doc(RunConfig())
 
 
 def _check(hint, value, key: str):
@@ -120,7 +119,7 @@ def _overlay(obj, doc, prefix: str = ""):
     hints = typing.get_type_hints(type(obj))
     changes = {}
     for key, value in doc.items():
-        if key not in hints or prefix + key == "cognition.resources":  # set at top level
+        if key not in hints:
             raise ConfigError(f"{prefix}{key}: unknown key (`cogopt init` writes every key)")
         old = getattr(obj, key)
         if dataclasses.is_dataclass(old):
@@ -133,30 +132,19 @@ def _overlay(obj, doc, prefix: str = ""):
         raise SchemaError(f"{prefix}{exc}") from exc
 
 
-def override(cfg: RunConfig, doc) -> RunConfig:
-    """`cfg` with a mapping in the config file's layout laid over it: the field tree, except
-    that `cognition.resources` is the top-level `resources` section."""
-    if isinstance(doc, dict) and "resources" in doc:
-        doc = dict(doc)
-        res = _overlay(cfg.cognition.resources, doc.pop("resources"), "resources.")
-        cfg = dataclasses.replace(cfg, cognition=dataclasses.replace(cfg.cognition, resources=res))
-    return _overlay(cfg, doc)
-
-
 def load_config(path, seed_override: int | None = None, out_override: str | None = None) -> RunConfig:
-    with open(path) as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ParseError(f"malformed config: {exc}") from exc
+    try:
+        doc = yaml.safe_load(read_text(path))
+    except yaml.YAMLError as exc:
+        raise ParseError(f"malformed config: {exc}") from exc
     base = Path(path).parent
     plant = doc.get("plant") if isinstance(doc, dict) else None
     if isinstance(plant, dict) and isinstance(plant.get("seed_data"), str):  # PlantConfig reads it
         doc = dict(doc, plant=dict(plant, seed_data=str(base / plant["seed_data"])))
-    cfg = override(RunConfig(), doc)
+    cfg = _overlay(RunConfig(), doc)
     if seed_override is not None:
-        cfg = override(cfg, {"plant": {"seed": seed_override},
-                             "cognition": {"master_seed": seed_override}})
+        cfg = _overlay(cfg, {"plant": {"seed": seed_override},
+                              "cognition": {"master_seed": seed_override}})
     return dataclasses.replace(cfg, kb=str(base / cfg.kb),
                                output_dir=out_override or cfg.output_dir)
 
@@ -236,8 +224,8 @@ def run(ctx, cycles, theta, epsilon):
     def body():
         cfg = load_config(ctx.obj["config_path"], ctx.obj["seed"], ctx.obj["out"])
         flags = {"theta": theta, "epsilon": epsilon}
-        cfg = override(cfg, {"cycles": cfg.cycles if cycles is None else cycles,
-                             "cognition": {k: v for k, v in flags.items() if v is not None}})
+        cfg = _overlay(cfg, {"cycles": cfg.cycles if cycles is None else cycles,
+                              "cognition": {k: v for k, v in flags.items() if v is not None}})
         kb = _load_served_kb(cfg, "cognition.bench_budget", cfg.cognition.bench_budget)
         plant = VpsSimulator(cfg.plant)
         out = _prepare_out(cfg)

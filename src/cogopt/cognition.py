@@ -85,14 +85,12 @@ class CognitionConfig:
 class CognitionState:
     d: list[ProductionCycleRecord] = field(default_factory=list)
     x: float | None = None
-    e: list[EvaluationRecord] = field(default_factory=list)
+    # pipeline -> its record from the last cycle that benchmarked it
+    latest: dict[str, EvaluationRecord] = field(default_factory=dict)
     zeta: int = 0
     iteration: int = 0
     p_best: str | None = None
     best_history: list[float] = field(default_factory=list)  # least sign * aggregate per step
-    last_cycle: int = 0
-    # algorithm -> parameters as last benchmarked
-    tuned: dict[str, dict] = field(default_factory=dict)
     log_entries: list[dict] = field(default_factory=list)
 
 
@@ -109,8 +107,7 @@ def bootstrap(state: CognitionState, plant: PlantAdapter,
         for _ in range(config.design_reps):
             plant.apply(float(point))
         state.x = float(point)
-    state.d = plant.receive_new_data(state.last_cycle)
-    state.last_cycle = max(r.cycle for r in state.d)
+    state.d = plant.receive_new_data(0)
     state.best_history = []
     return state
 
@@ -140,7 +137,7 @@ def run_selection_cycle(
         log.warning("no feasible baseline; skipping this selection cycle")
         state.p_best = None
         return kb, None
-    candidates = select_candidates(feasible, config.resources, state.e)
+    candidates = select_candidates(feasible, config.resources, state.latest)
     if baseline not in candidates:
         candidates = [baseline] + candidates
 
@@ -154,12 +151,10 @@ def run_selection_cycle(
         reps=config.reps,
         seed=cycle_seed,
     )
-    state.e.extend(records)
+    state.latest.update((rec.pipeline, rec) for rec in records)
 
     table, p_best, updates = rate_pipelines(records, baseline.name, config.weights)
     state.p_best = p_best
-    for rec in records:
-        state.tuned[rec.pipeline] = rec.tuned_params
     for up in updates:
         kb = update_characteristics(
             kb, goal.path, up.algorithm, up.performance, up.computational_effort, up.ram_usage
@@ -188,7 +183,7 @@ def get_best_x(
         )
         res = optimizers.run_optimizer(
             p_best, problem, derive_seed(config.master_seed, 0xA, state.iteration),
-            state.tuned[p_best]
+            state.latest[p_best].tuned_params
         )
         return res.best_x
     except CogoptError as exc:
@@ -227,10 +222,8 @@ def step(
         except CogoptError as exc:
             log.error("plant application failed: %s", exc)
 
-    new = plant.receive_new_data(state.last_cycle)
-    if new:
-        state.d.extend(new)
-        state.last_cycle = max(r.cycle for r in new)
+    new = plant.receive_new_data(state.d[-1].cycle)
+    state.d.extend(new)
 
     best_now = min(goal.sign * r.aggregate for r in state.d)
     state.best_history.append(best_now)

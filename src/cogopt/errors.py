@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one routine that reads input."""
+
+from pathlib import Path
 
 
 class CogoptError(Exception):
@@ -55,3 +57,11 @@ class MissingBaseline(CogoptError):
 class MalformedInput(CogoptError):
     """A report input file exists but lacks the expected columns or numbers."""
 
+
+def read_text(path) -> str:
+    """The text of the file at `path`, a path or an importlib resource; a SchemaError names
+    the file when it cannot be read as UTF-8 text (it is missing or a directory, say)."""
+    try:
+        return (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: cannot read it as UTF-8 text: {exc}") from exc

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import yaml
 
 from . import optimizers
-from .errors import ParseError, SchemaError, UnknownAlgorithm, UnknownGoal
+from .errors import ParseError, SchemaError, UnknownAlgorithm, UnknownGoal, read_text
 
 KB_VERSION_KEY = "caai_kb_version"
 KB_VERSION = 1
@@ -275,9 +275,7 @@ def _parse_entry(name, block) -> AlgorithmEntry:
 
 def load_kb(path) -> KnowledgeBase:
     """Load and fully validate a knowledge base document."""
-    with open(path, "r") as fh:
-        text = fh.read()
-    return parse_kb(text)
+    return parse_kb(read_text(path))
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -371,15 +369,14 @@ def determine_feasible(
 def select_candidates(
     feasible: list[AlgorithmEntry],
     resources: ResourceBudget,
-    history: list,
+    latest: dict,
 ) -> list[AlgorithmEntry]:
     """Soft selection: drop avoided/over-deadline entries, order, truncate.
 
-    `history` carries EvaluationRecord-like objects with `pipeline` and
-    `cpu_time` attributes; only the most recent record per pipeline counts.
+    `latest` maps a pipeline to its latest EvaluationRecord-like object, one with a
+    `cpu_time` attribute.
     """
-    latest = {rec.pipeline: rec.cpu_time for rec in history}
-    late = {name for name, cpu_time in latest.items() if cpu_time > resources.deadline}
+    late = {name for name, rec in latest.items() if rec.cpu_time > resources.deadline}
 
     def order(e: AlgorithmEntry):
         effort = e.metadata.computational_effort

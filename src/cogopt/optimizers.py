@@ -25,7 +25,6 @@ from scipy.special import ndtr
 from . import gp
 from .errors import BudgetExhausted, ConfigError, OutOfBounds, SingularCovariance
 
-ALGORITHMS = ("RandomSearch", "HillClimber", "GeneralizedSA", "DifferentialEvolution", "KrigingSBO")
 BASELINE = "RandomSearch"
 EI_CANDIDATES = 256  # uniform points at which KrigingSBO scores expected improvement
 
@@ -450,6 +449,7 @@ _RUNNERS = {
     "DifferentialEvolution": differential_evolution,
     "KrigingSBO": kriging_sbo,
 }
+ALGORITHMS = tuple(_RUNNERS)
 
 
 def run_optimizer(algorithm: str, problem: OptProblem, seed: int,

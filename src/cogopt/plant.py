@@ -15,13 +15,12 @@ import importlib.resources
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import gp
 from .benchmark import derive_seed
-from .errors import OutOfBounds, SchemaError
+from .errors import OutOfBounds, SchemaError, read_text
 
 SIGNALS = ("f1", "f2", "f3")  # the record's fields, one per objective curve
 SEED_DATA_RESOURCE = "vps_seed.csv"
@@ -51,18 +50,16 @@ class PlantAdapter:
         raise NotImplementedError
 
     def receive_new_data(self, since: int) -> list[ProductionCycleRecord]:
+        """The records of the cycles after cycle `since`, the last one the caller has seen
+        (0 for none), in cycle order."""
         raise NotImplementedError
 
 
 def load_seed_dataset(path=None) -> np.ndarray:
     """Rows (x, f1, f2, f3, rep) of the bundled or user-supplied seed CSV; a SchemaError
     names the file, and the line of a missing header, a bad row or too few rows."""
-    ref = importlib.resources.files("cogopt.data") / SEED_DATA_RESOURCE if path is None else Path(path)
-    try:
-        text = ref.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text, say
-        raise SchemaError(f"{ref}: cannot read it as UTF-8 text: {exc}") from exc
-    rows = list(csv.reader(text.rstrip().splitlines()))
+    ref = importlib.resources.files("cogopt.data") / SEED_DATA_RESOURCE if path is None else path
+    rows = list(csv.reader(read_text(ref).rstrip().splitlines()))
     if rows[:1] != [SEED_COLUMNS]:
         raise SchemaError(f"{ref} line 1: need the header {','.join(SEED_COLUMNS)}")
     if len(rows) < 3:

@@ -205,7 +205,7 @@ def test_08_knowledge_update_round_trip():
     state = bootstrap(CognitionState(), plant, cfg)
     kb, _ = run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
 
-    benchmarked = {r.pipeline for r in state.e}
+    benchmarked = set(state.latest)
     fields_ok = True
     for name in benchmarked:
         m = kb.entries_for(GOAL_PATH)[name].metadata

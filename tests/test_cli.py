@@ -38,7 +38,7 @@ def write_project(directory: Path, **overrides) -> Path:
                             bench_budget=12, reps=2, design_reps=1)
     doc["campaign"].update(budget=12, checkpoints=[6, 12], reps=2, k_instances=2)
     for key, value in overrides.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and key in doc:
             doc[key].update(value)
         else:
             doc[key] = value
@@ -62,6 +62,7 @@ class TestInit:
         doc = yaml.safe_load((tmp_path / "config.yaml").read_text())
         leaves = lambda d: sum(leaves(v) if isinstance(v, dict) else 1 for v in d.values())
         assert leaves(doc) == 28 and "weights" not in doc["plant"]
+        assert "resources" in doc["cognition"] and "resources" not in doc
         assert doc["goal"]["signals"] == ["f1", "f2", "f3"]
         res = runner.invoke(main, ["--config", str(tmp_path / "config.yaml"),
                                    "--out", str(tmp_path / "o"), "run", "--cycles", "0"])
@@ -292,6 +293,7 @@ class TestErrors:
     def test_missing_config_is_a_config_error(self, runner, tmp_path):
         res = runner.invoke(main, ["--config", str(tmp_path / "nope.yaml"), "run"])
         assert res.exit_code == 2
+        assert f"{tmp_path / 'nope.yaml'}: cannot read it as UTF-8 text" in res.output
 
     def test_malformed_config(self, runner, tmp_path):
         cfg = tmp_path / "config.yaml"
@@ -417,16 +419,35 @@ class TestErrors:
         (tmp_path / "kb.yaml").unlink()
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
         assert res.exit_code == 2
+        assert f"{tmp_path / 'kb.yaml'}: cannot read it as UTF-8 text" in res.output
 
-    @pytest.mark.parametrize("section", [None, "goal", "plant", "cognition", "resources",
+    @pytest.mark.parametrize("role", ["config", "kb", "report"])
+    @pytest.mark.parametrize("body", [None, b"\xff\xfe\x00x"], ids=["directory", "not-utf8"])
+    def test_an_input_that_cannot_be_read_is_a_config_error_naming_it(self, runner, tmp_path,
+                                                                      role, body):
+        cfg = write_project(tmp_path, **({"kb": "bad"} if role == "kb" else {}))
+        bad = tmp_path / "bad"
+        if body is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(body)
+        command = ["report", str(bad)] if role == "report" else ["run", "--cycles", "0"]
+        res = runner.invoke(main, ["--config", str(bad if role == "config" else cfg),
+                                   "--out", str(tmp_path / "o")] + command)
+        assert res.exit_code == 2, res.output
+        assert f"{bad}: cannot read it as UTF-8 text" in res.output
+
+    @pytest.mark.parametrize("section", [None, "goal", "plant", "cognition", "cognition.resources",
                                          "rating", "campaign"])
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(key=st.text(string.ascii_lowercase + "_", min_size=1, max_size=12))
     def test_unknown_key_is_refused(self, runner, tmp_path, section, key):
         doc = default_config_doc()
-        known = doc if section is None else doc[section]
-        assume(key not in known and (section, key) != ("cognition", "resources"))
+        known = doc
+        for part in [] if section is None else section.split("."):
+            known = known[part]
+        assume(key not in known)
         known[key] = 1
         cfg = tmp_path / "config.yaml"
         cfg.write_text(yaml.safe_dump(doc))
@@ -439,7 +460,7 @@ class TestErrors:
     @pytest.mark.parametrize("key, value, named", [
         ("cycles", "abc", "cycles"),
         ("plant", [1, 2], "plant"),
-        ("resources", {"memory_cap": 1 << 30}, "resources.memory_cap"),
+        ("cognition", {"resources": {"memory_cap": 1 << 30}}, "cognition.resources.memory_cap"),
         ("cognition", {"workers": 1}, "cognition.workers"),
         ("cognition", {"sim_method": "decomposition"}, "cognition.sim_method"),
         ("cognition", {"reps": 0}, "cognition.reps"),
@@ -496,12 +517,19 @@ class TestErrors:
         ("goal", {"signals": ["f1", "f1", "f2"]}, "goal.signals: must name the plant's signals"),
         ("goal", {"signals": ["energy", "processing_time", "corn_amount"]},  # an old template's
          "goal.signals: must name the plant's signals"),
-        ("resources", {"max_parallel_pipelines": 1}, "resources.max_parallel_pipelines: must be >= 2"),
-        ("resources", {"max_parallel_pipelines": 0}, "resources.max_parallel_pipelines: must be >= 2"),
-        ("resources", {"max_parallel_pipelines": -1}, "resources.max_parallel_pipelines: must be >= 2"),
-        ("resources", {"deadline": -5.0}, "resources.deadline: must be > 0, got -5.0"),
-        ("resources", {"deadline": 0}, "resources.deadline: must be > 0, got 0.0"),
-        ("resources", {"deadline": math.nan}, "resources.deadline: must be > 0, got nan"),
+        ("resources", {"deadline": 5.0}, "resources: unknown key"),  # the old layout's section
+        ("cognition", {"resources": {"max_parallel_pipelines": 1}},
+         "cognition.resources.max_parallel_pipelines: must be >= 2"),
+        ("cognition", {"resources": {"max_parallel_pipelines": 0}},
+         "cognition.resources.max_parallel_pipelines: must be >= 2"),
+        ("cognition", {"resources": {"max_parallel_pipelines": -1}},
+         "cognition.resources.max_parallel_pipelines: must be >= 2"),
+        ("cognition", {"resources": {"deadline": -5.0}},
+         "cognition.resources.deadline: must be > 0, got -5.0"),
+        ("cognition", {"resources": {"deadline": 0}},
+         "cognition.resources.deadline: must be > 0, got 0.0"),
+        ("cognition", {"resources": {"deadline": math.nan}},
+         "cognition.resources.deadline: must be > 0, got nan"),
     ])
     def test_a_setting_the_loop_cannot_serve_is_refused(self, runner, tmp_path, section, value,
                                                         message):

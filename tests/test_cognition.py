@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cogopt import cognition, optimizers
-from cogopt.benchmark import generate_test_functions
+from cogopt.benchmark import EvaluationRecord, generate_test_functions, tune_then_benchmark
 from cogopt.cognition import (
     CognitionConfig,
     CognitionState,
@@ -17,7 +17,7 @@ from cogopt.cognition import (
     step,
 )
 from cogopt.errors import ConfigError, SchemaError, SingularCovariance, UnknownGoal
-from cogopt.knowledge import GoalSpec, KnowledgeBase, default_kb
+from cogopt.knowledge import GoalSpec, KnowledgeBase, ResourceBudget, default_kb
 from cogopt.plant import PlantAdapter, ProductionCycleRecord, VpsSimulator
 
 GOAL = GoalSpec("Optimization", ("f1", "f2", "f3"), "mean", "minimize")
@@ -121,7 +121,8 @@ class TestGetBestX:
 
     def test_proposal_tracks_surrogate_minimum(self):
         state, cfg, plant = self.setup_state()
-        state.tuned["RandomSearch"] = {}
+        state.latest["RandomSearch"] = EvaluationRecord("RandomSearch", "instance-1", 20,
+                                                        best_y=0.0, cpu_time=0.1, memory_bytes=1.0)
         x = get_best_x("RandomSearch", state, cfg, plant.bounds)
         lo, hi = plant.bounds
         assert lo <= x <= hi
@@ -224,18 +225,17 @@ def cycle_result():
 class TestSelectionCycle:
     def test_records_cover_candidates_and_baseline(self, cycle_result):
         state, _ = cycle_result
-        pipelines = {r.pipeline for r in state.e}
-        assert "RandomSearch" in pipelines
-        assert len(pipelines) >= 3
+        assert optimizers.BASELINE in state.latest
+        assert len(state.latest) >= 3
+        assert all(name == r.pipeline for name, r in state.latest.items())
 
     def test_all_records_share_one_benchmark_instance(self, cycle_result):
         state, _ = cycle_result
-        assert {r.instance for r in state.e} == {"instance-1"}
+        assert {r.instance for r in state.latest.values()} == {"instance-1"}
 
     def test_kb_characteristics_updated(self, cycle_result):
         state, kb = cycle_result
-        for pipeline in {r.pipeline for r in state.e}:
-            assert pipeline in state.tuned
+        for pipeline in state.latest:
             m = kb.entries_for(GOAL.path)[pipeline].metadata
             assert m.performance is not None and 0.0 <= m.performance <= 1.0
             assert 0.0 <= m.computational_effort <= 1.0
@@ -244,7 +244,7 @@ class TestSelectionCycle:
     def test_p_best_is_a_benchmarked_pipeline_or_none(self, cycle_result):
         state, _ = cycle_result
         if state.p_best is not None:
-            assert state.p_best in {r.pipeline for r in state.e}
+            assert state.p_best in state.latest
 
 
 def test_each_step_entry_records_the_cycle_it_rated():
@@ -252,10 +252,11 @@ def test_each_step_entry_records_the_cycle_it_rated():
     cfg = CognitionConfig(s=6, theta=3, tuning_budget=2, bench_budget=12, reps=2, master_seed=0)
     state, kb = bootstrap(CognitionState(), plant, cfg), default_kb()
     for _ in range(4):
-        seen = len(state.e)
+        seen = dict(state.latest)
         state, kb = step(state, plant, kb, cfg, GOAL)
         entry = state.log_entries[-1]
-        benchmarked = {r.pipeline for r in state.e[seen:]} - {optimizers.BASELINE}
+        benchmarked = {p for p, r in state.latest.items()
+                       if seen.get(p) is not r and p != optimizers.BASELINE}
         if not entry["selection_ran"]:
             assert entry["selection"] is None and not benchmarked
             continue
@@ -267,6 +268,30 @@ def test_each_step_entry_records_the_cycle_it_rated():
     assert [e["selection"] is not None for e in state.log_entries] == \
         [e["selection_ran"] for e in state.log_entries]
     assert state.log_entries[0]["selection"] is not None
+
+
+def test_latest_keeps_each_pipelines_record_from_the_last_cycle_that_ran_it(monkeypatch):
+    # few candidates a cycle, and untested ones first: the second cycle runs others
+    ran = []
+
+    def spy(*args, **kwargs):
+        ran.append(tune_then_benchmark(*args, **kwargs))
+        return ran[-1]
+
+    monkeypatch.setattr(cognition, "tune_then_benchmark", spy)
+    plant = VpsSimulator(noise_sd=0.02, seed=0)
+    cfg = CognitionConfig(s=6, tuning_budget=1, bench_budget=12, reps=1,
+                          resources=ResourceBudget(max_parallel_pipelines=2))
+    state, kb = bootstrap(CognitionState(), plant, cfg), default_kb()
+    for iteration in range(2):
+        state.iteration = iteration
+        kb, _ = run_selection_cycle(state, kb, cfg, GOAL, plant.bounds)
+    first, second = ({r.pipeline: r for r in records} for records in ran)
+    assert first.keys() - second.keys()  # one that only the first cycle ran
+    assert state.latest.keys() == first.keys() | second.keys()
+    for name, rec in state.latest.items():
+        assert rec is second.get(name, first.get(name))
+    assert state.latest[optimizers.BASELINE] is not first[optimizers.BASELINE]
 
 
 def test_a_cycle_draws_the_two_instances_it_runs(monkeypatch):
@@ -281,7 +306,7 @@ def test_a_cycle_draws_the_two_instances_it_runs(monkeypatch):
     cfg = CognitionConfig(s=6, theta=3, tuning_budget=1, bench_budget=12, reps=1)
     state = bootstrap(CognitionState(), plant, cfg)
     run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
-    assert drawn == [2] and state.e
+    assert drawn == [2] and state.latest
 
 
 def test_no_feasible_baseline_skips_the_cycle_before_any_work(monkeypatch):
@@ -300,7 +325,7 @@ def test_no_feasible_baseline_skips_the_cycle_before_any_work(monkeypatch):
     monkeypatch.setattr(cognition, "tune_then_benchmark", no_work)
     kb_out, table = run_selection_cycle(state, kb, CognitionConfig(), GOAL, (0.0, 1.0))
     assert kb_out is kb and table is None
-    assert state.e == [] and state.p_best is None
+    assert state.latest == {} and state.p_best is None
 
 
 def test_programming_error_in_an_optimizer_propagates(monkeypatch):
@@ -331,7 +356,7 @@ def test_the_loop_moves_the_setting_in_the_goal_direction(direction):
     cfg = CognitionConfig(s=6, theta=3, tuning_budget=2,
                           bench_budget=24, reps=2, master_seed=0)
     history = plant.receive_new_data(0)
-    state = CognitionState(d=history, x=history[-1].x, last_cycle=max(r.cycle for r in history))
+    state = CognitionState(d=history, x=history[-1].x)
     goal = GoalSpec("Optimization", ("f1", "f2", "f3"), "mean", direction)
     kb = default_kb()
     for _ in range(2):

@@ -319,8 +319,7 @@ def test_each_goal_reads_its_own_entries():
 
 
 class Rec:
-    def __init__(self, pipeline, cpu_time):
-        self.pipeline = pipeline
+    def __init__(self, cpu_time):
         self.cpu_time = cpu_time
 
 
@@ -328,42 +327,59 @@ class TestSelectCandidates:
     def test_truncation(self):
         kb = kb_of(entry("A"), entry("B"), entry("C"))
         pipes = compose_pipelines(kb, GOAL.path)
-        out = select_candidates(pipes, ResourceBudget(max_parallel_pipelines=2), [])
+        out = select_candidates(pipes, ResourceBudget(max_parallel_pipelines=2), {})
         assert len(out) == 2
 
     def test_deadline_exclusion(self):
         kb = kb_of(entry("Slow"), entry("Fast"))
         pipes = compose_pipelines(kb, GOAL.path)
-        history = [Rec("Slow", 30.0)]
-        out = select_candidates(pipes, ResourceBudget(deadline=20.0), history)
+        out = select_candidates(pipes, ResourceBudget(deadline=20.0), {"Slow": Rec(30.0)})
         assert [e.name for e in out] == ["Fast"]
-
-    def test_only_latest_record_counts(self):
-        kb = kb_of(entry("A"))
-        pipes = compose_pipelines(kb, GOAL.path)
-        history = [Rec("A", 30.0), Rec("A", 1.0)]  # recovered after a slow run
-        out = select_candidates(pipes, ResourceBudget(deadline=20.0), history)
-        assert len(out) == 1
 
     def test_avoid_usage_is_hard_exclusion(self):
         kb = kb_of(entry("Avoided", avoid=True), entry("Normal"))
         pipes = compose_pipelines(kb, GOAL.path)
-        out = select_candidates(pipes, ResourceBudget(), [])
+        out = select_candidates(pipes, ResourceBudget(), {})
         assert [e.name for e in out] == ["Normal"]
 
     def test_prefer_usage_sorts_first(self):
         kb = kb_of(entry("Plain", effort=0.1), entry("Preferred", prefer=True, effort=0.9))
         pipes = compose_pipelines(kb, GOAL.path)
-        out = select_candidates(pipes, ResourceBudget(), [])
+        out = select_candidates(pipes, ResourceBudget(), {})
         assert [e.name for e in out] == ["Preferred", "Plain"]
 
     def test_subset_of_input(self):
         kb = kb_of(entry("A"), entry("B"), entry("C"), entry("D"), entry("E"))
         pipes = compose_pipelines(kb, GOAL.path)
         for limit in (2, 3, 10):
-            out = select_candidates(pipes, ResourceBudget(max_parallel_pipelines=limit), [])
+            out = select_candidates(pipes, ResourceBudget(max_parallel_pipelines=limit), {})
             assert set(e.name for e in out) <= set(e.name for e in pipes)
             assert len(out) <= limit
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        flags=st.dictionaries(
+            st.text(string.ascii_letters, min_size=1, max_size=6),
+            st.tuples(st.booleans(), st.booleans(),
+                      st.none() | st.floats(0.0, 1.0)),  # prefer, avoid, effort
+            max_size=8),
+        cpu=st.dictionaries(st.text(string.ascii_letters, min_size=1, max_size=6),
+                            st.floats(0.0, 100.0), max_size=8),
+        deadline=st.floats(0.01, 100.0),
+        limit=st.integers(2, 10),
+        data=st.data(),
+    )
+    def test_the_first_ranked_entries_that_are_neither_avoided_nor_late(
+            self, flags, cpu, deadline, limit, data):
+        names = list(flags)
+        # some latest records name an entry, some a pipeline the KB no longer holds
+        cpu.update({n: data.draw(st.floats(0.0, 100.0)) for n in names if data.draw(st.booleans())})
+        pipes = [entry(n, prefer=p, avoid=a, effort=e) for n, (p, a, e) in flags.items()]
+        out = select_candidates(pipes, ResourceBudget(max_parallel_pipelines=limit, deadline=deadline),
+                                {n: Rec(t) for n, t in cpu.items()})
+        kept = [n for n in names if not flags[n][1] and not cpu.get(n, 0.0) > deadline]
+        rank = lambda n: (not flags[n][0], flags[n][2] is not None, flags[n][2] or 0.0, n)
+        assert [e.name for e in out] == sorted(kept, key=rank)[:limit]
 
     @pytest.mark.parametrize("limit", [1, 0, -1])
     def test_a_limit_below_two_is_refused(self, limit):
