@@ -52,17 +52,16 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 
 def generate_test_functions(
-    data: gp.Dataset,
+    model: gp.GPModel,
     k: int,
     master_seed: int = 0,
 ) -> tuple[gp.Realization, ...]:
-    """Fit a GP to the process data and draw k unconditional instances.
+    """k unconditional instances drawn from `model`, a GP fitted to the process data.
 
     The instances share one sampler, so the grid's prior is factored once for
     all k draws.
     """
-    model = gp.fit(data, noise=True)
-    draw = gp.unconditional_sampler(model, gp.default_grid(data.bounds))
+    draw = gp.unconditional_sampler(model, gp.default_grid(model.data.bounds))
     return tuple(draw(derive_seed(master_seed, i)) for i in range(k))
 
 
@@ -117,11 +116,12 @@ def _sample_params(rng, specs: tuple[ParameterSpec, ...]) -> dict:
 
 def _tune(algorithm: str, specs: tuple[ParameterSpec, ...], objective, bounds,
           tuning_budget: int, budget: int, seed: int, index: int) -> dict:
-    """The best of `tuning_budget` sampled configurations, each scored by one run."""
+    """The best of `tuning_budget` sampled configurations, each scored by one run; the
+    specs' defaults when no sampled configuration runs."""
+    tuned, best = {p.name: p.default for p in specs}, np.inf
     if not specs:
-        return {}
+        return tuned
     rng = np.random.default_rng(derive_seed(seed, index, _TUNE_DRAW))
-    tuned, best = {}, np.inf
     for j in range(tuning_budget):
         params = _sample_params(rng, specs)
         try:

@@ -54,6 +54,10 @@ class CampaignConfig:
 
     def __post_init__(self):
         # the loader prefixes the section: "campaign.checkpoints: ..."
+        if self.reps < 1:
+            raise SchemaError(f"reps: must be >= 1, got {self.reps}")
+        if any(b < 1 for b in self.checkpoints):
+            raise SchemaError(f"checkpoints: each must be >= 1, got {list(self.checkpoints)}")
         if not any(b <= self.budget for b in self.checkpoints):
             raise SchemaError(f"checkpoints: need one at or below the budget {self.budget}, "
                               f"got {list(self.checkpoints)}")

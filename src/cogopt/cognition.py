@@ -2,16 +2,17 @@
 triggered selection cycles, best-parameter extraction, and guarded
 application of proposals to the plant.
 
-Each step optionally runs a selection cycle (every `theta` iterations or
-when the stagnation trigger fired), extracts the winning algorithm's
-parameter proposal from a surrogate of the real process, applies it to the
-plant only when it differs from the current setting by at least `epsilon`,
-ingests new production data, and re-evaluates the stagnation trigger.
-A selection cycle draws two instances from a GP of the process data, tunes
-each candidate on one and benchmarks them all on the other through
-`benchmark.run_campaign`, rates them, and updates the knowledge base.
-The loop minimizes the goal's sign times the aggregate, so a maximize goal
-maximizes it.
+Each step fits one process model, a noise GP of the process data, when it
+runs a selection cycle (every `theta` iterations or when the stagnation
+trigger fired) or has a winner to propose from.  The selection cycle draws
+two instances from that model, tunes each candidate on one and benchmarks
+them all on the other through `benchmark.run_campaign`, rates them, and
+updates the knowledge base.  The winner's proposal is then searched on the
+same model's posterior mean and applied to the plant only when it differs
+from the current setting by at least `epsilon`.  The step ingests new
+production data and re-evaluates the stagnation trigger.  A failed fit is
+logged, and the step skips the cycle and the proposal.  The loop minimizes
+the goal's sign times the aggregate, so a maximize goal maximizes it.
 
 Each step appends one entry to `CognitionState.log_entries`, the one record
 of the step: the setting, the latest observation, the winner, the trigger
@@ -67,8 +68,13 @@ class CognitionConfig:
             raise SchemaError("theta: the selection step size must be >= 2")
         if self.epsilon is not None and self.epsilon < 0:
             raise SchemaError("epsilon: must be >= 0")
+        if self.tuning_budget < 1:
+            raise SchemaError(f"tuning_budget: must be >= 1, got {self.tuning_budget}")
         if self.reps < 1:
             raise SchemaError("reps: must be >= 1")
+        if not 0.0 <= self.stagnation_delta < math.inf:
+            raise SchemaError(f"stagnation_delta: must be a finite number >= 0, "
+                              f"got {self.stagnation_delta}")
         if self.design_reps < 1:
             raise SchemaError("design_reps: must be >= 1")
         if self.master_seed < 0:
@@ -112,24 +118,15 @@ def bootstrap(state: CognitionState, plant: PlantAdapter,
     return state
 
 
-def _dataset(state: CognitionState, bounds, sign: float = 1.0) -> gp.Dataset:
-    """The process data with the response the loop minimizes, sign * aggregate."""
-    return gp.Dataset(
-        X=np.array([r.x for r in state.d]),
-        y=sign * np.array([r.aggregate for r in state.d]),
-        bounds=bounds,
-    )
-
-
 def run_selection_cycle(
     state: CognitionState,
     kb: KnowledgeBase,
     config: CognitionConfig,
     goal: GoalSpec,
-    bounds,
+    model: gp.GPModel,
 ) -> tuple[KnowledgeBase, RatingTable | None]:
-    """Simulate, benchmark candidates, rate, and fold results into the KB.
-    Returns the KB and the cycle's rating, None when the cycle is skipped."""
+    """Simulate from the process model, benchmark candidates, rate, and fold results into
+    the KB.  Returns the KB and the cycle's rating, None when the cycle is skipped."""
     feasible = determine_feasible(compose_pipelines(kb, goal.path), goal, data_size=len(state.d))
     # every rating group needs the baseline as its reference, so without one nothing runs
     baseline = next((e for e in feasible if e.name == optimizers.BASELINE), None)
@@ -142,10 +139,10 @@ def run_selection_cycle(
         candidates = [baseline] + candidates
 
     cycle_seed = derive_seed(config.master_seed, 0xC, state.iteration)
-    data = _dataset(state, bounds, goal.sign)
-    tune_on, bench_on = generate_test_functions(data, 2, master_seed=cycle_seed)
+    tune_on, bench_on = generate_test_functions(model, 2, master_seed=cycle_seed)
     records = tune_then_benchmark(
-        [(entry.name, entry.parameters) for entry in candidates], tune_on, bench_on, bounds,
+        [(entry.name, entry.parameters) for entry in candidates], tune_on, bench_on,
+        model.data.bounds,
         tuning_budget=config.tuning_budget,
         bench_budget=config.bench_budget,
         reps=config.reps,
@@ -162,28 +159,19 @@ def run_selection_cycle(
     return kb, table
 
 
-def get_best_x(
-    p_best: str | None,
-    state: CognitionState,
-    config: CognitionConfig,
-    bounds,
-    sign: float = 1.0,
-) -> float:
-    """Winning algorithm's proposal on the surrogate of the real process
-    (of sign * aggregate), searched with the parameters it was benchmarked
-    with."""
-    if p_best is None or state.x is None:
+def get_best_x(state: CognitionState, config: CognitionConfig, model: gp.GPModel | None) -> float:
+    """The winner `state.p_best`'s proposal on the process model's posterior mean, searched
+    with the parameters it was benchmarked with; the current x without a winner or model."""
+    if model is None or state.p_best is None or state.x is None:
         return state.x
     try:
-        data = _dataset(state, bounds, sign)
-        model = gp.fit(data, noise=True)
         objective = lambda x: float(gp.predict(model, x)[0][0])
         problem = optimizers.OptProblem(
-            objective=objective, bounds=bounds, budget=config.bench_budget
+            objective=objective, bounds=model.data.bounds, budget=config.bench_budget
         )
         res = optimizers.run_optimizer(
-            p_best, problem, derive_seed(config.master_seed, 0xA, state.iteration),
-            state.latest[p_best].tuned_params
+            state.p_best, problem, derive_seed(config.master_seed, 0xA, state.iteration),
+            state.latest[state.p_best].tuned_params
         )
         return res.best_x
     except CogoptError as exc:
@@ -200,18 +188,28 @@ def step(
 ) -> tuple[CognitionState, KnowledgeBase]:
     """One loop iteration; returns the advanced state and (possibly) new KB."""
     bounds = plant.bounds
-    selection_ran, table = False, None
-    if state.iteration % config.theta == 0 or state.zeta == 1:
-        state.zeta = 0
+    selecting = state.iteration % config.theta == 0 or state.zeta == 1
+    selection_ran, table, model = False, None, None
+    if selecting or state.p_best is not None:
+        # the process model: a noise GP of the response the loop minimizes, sign * aggregate
         try:
-            kb, table = run_selection_cycle(state, kb, config, goal, bounds)
+            model = gp.fit(gp.Dataset(X=np.array([r.x for r in state.d]),
+                                      y=goal.sign * np.array([r.aggregate for r in state.d]),
+                                      bounds=bounds), noise=True)
+        except CogoptError as exc:
+            log.error("process model fit failed: %s", exc)
+    if selecting:
+        state.zeta = 0
+    if selecting and model is not None:
+        try:
+            kb, table = run_selection_cycle(state, kb, config, goal, model)
             selection_ran = True
         except (UnknownGoal, ConfigError):
             raise  # a goal or setting the loop cannot serve fails every cycle alike
         except CogoptError as exc:
             log.error("selection cycle failed: %s", exc)
 
-    x_best = get_best_x(state.p_best, state, config, bounds, goal.sign)
+    x_best = get_best_x(state, config, model)
     applied = False
     epsilon = config.resolved_epsilon(bounds)
     if x_best is not None and abs(state.x - x_best) >= epsilon:

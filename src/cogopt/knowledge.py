@@ -397,9 +397,6 @@ def update_characteristics(
     ram: float,
 ) -> KnowledgeBase:
     """Return a new KB with the three dynamic fields of the goal path's `algorithm` replaced."""
-    for v in (performance, effort, ram):
-        if not (0.0 <= v <= 1.0):
-            raise SchemaError(f"characteristic value {v} outside [0, 1]")
     entries = kb.entries_for(goal_path)
     if algorithm not in entries:
         raise UnknownAlgorithm(algorithm)

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import importlib.resources
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ class ProductionCycleRecord:
     f2: float  # processing time (normalized)
     f3: float  # corn amount (normalized)
     aggregate: float
-    timestamp: float
     cycle: int
 
 
@@ -152,7 +150,6 @@ class VpsSimulator(PlantAdapter):
             x=x,
             f1=fs[0], f2=fs[1], f3=fs[2],
             aggregate=aggregate(fs),
-            timestamp=time.time(),
             cycle=len(self._records) + 1,
         )
         self._records.append(record)

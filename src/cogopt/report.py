@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from . import benchmark
+from . import benchmark, gp
 from .benchmark import EvaluationRecord, pearson_correlation, rank_algorithms, run_campaign
 from .errors import DegenerateInput, MalformedInput
 from .knowledge import KnowledgeBase, compose_pipelines
@@ -32,8 +32,8 @@ def portfolio_from_kb(kb: KnowledgeBase, goal_path) -> list[tuple[str, dict]]:
 
 def build_objectives(plant: VpsSimulator, k_instances: int, master_seed: int) -> dict:
     """Ground-truth objective plus k unconditional simulations of the seed aggregate."""
-    S = benchmark.generate_test_functions(plant.config.aggregate_data, k_instances,
-                                          master_seed=master_seed)
+    model = gp.fit(plant.config.aggregate_data, noise=True)
+    S = benchmark.generate_test_functions(model, k_instances, master_seed=master_seed)
     objectives = {GROUND_TRUTH: plant.ground_truth_objective()}
     for i, inst in enumerate(S):
         objectives[f"{SIM_PREFIX}{i}"] = inst

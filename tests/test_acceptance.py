@@ -171,19 +171,19 @@ def test_07_control_flow(monkeypatch):
     plant = ScriptedPlant([1.0, 1.0, 1.0, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6])
     cfg = CognitionConfig(theta=4, epsilon=0.01, master_seed=0)
     state = CognitionState()
-    state.d = [record(0.5, 1.0, 0)]
+    state.d = [record(0.4, 1.0, 0), record(0.6, 1.0, 0)]  # two: a process model fits
     state.x = 0.5
     kb = default_kb()
 
     proposals = iter([0.8, 0.8004])  # one real move, then a sub-epsilon nudge
 
-    def fake_selection(state, kb, config, goal, bounds):
+    def fake_selection(state, kb, config, goal, model):
         state.p_best = "Stub"
         return kb, None
 
     monkeypatch.setattr(cognition, "run_selection_cycle", fake_selection)
     monkeypatch.setattr(cognition, "get_best_x",
-                        lambda p, s, c, b, sign: next(proposals, s.x))
+                        lambda s, c, model: next(proposals, s.x))
     for _ in range(10):
         state, kb = step(state, plant, kb, cfg, GOAL)
 
@@ -199,11 +199,13 @@ def test_07_control_flow(monkeypatch):
 
 
 def test_08_knowledge_update_round_trip():
+    from test_cognition import process_model
+
     plant = VpsSimulator(noise_sd=0.02, seed=0)
     cfg = CognitionConfig(s=6, theta=3, tuning_budget=2,
                           bench_budget=12, reps=2, master_seed=0)
     state = bootstrap(CognitionState(), plant, cfg)
-    kb, _ = run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
+    kb, _ = run_selection_cycle(state, default_kb(), cfg, GOAL, process_model(state, plant.bounds))
 
     benchmarked = set(state.latest)
     fields_ok = True

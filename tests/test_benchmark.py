@@ -15,10 +15,10 @@ from cogopt.rating import rate_pipelines
 BOUNDS = (0.0, 1.0)
 
 
-def make_dataset():
+def make_model():
     X = np.linspace(0, 1, 12)
     y = np.sin(2 * np.pi * X) + 0.3 * X
-    return gp.Dataset(X=X, y=y, bounds=BOUNDS)
+    return gp.fit(gp.Dataset(X=X, y=y, bounds=BOUNDS), noise=True)
 
 
 def rec(pipeline, instance="i0", budget=36, best_y=1.0, cpu=1.0, mem=100.0, rank=None):
@@ -28,25 +28,25 @@ def rec(pipeline, instance="i0", budget=36, best_y=1.0, cpu=1.0, mem=100.0, rank
 
 class TestGenerateTestFunctions:
     def test_empty_set_is_valid(self):
-        S = bm.generate_test_functions(make_dataset(), 0)
+        S = bm.generate_test_functions(make_model(), 0)
         assert len(S) == 0
 
     def test_deterministic(self):
-        a = bm.generate_test_functions(make_dataset(), 3, master_seed=5)
-        b = bm.generate_test_functions(make_dataset(), 3, master_seed=5)
+        a = bm.generate_test_functions(make_model(), 3, master_seed=5)
+        b = bm.generate_test_functions(make_model(), 3, master_seed=5)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.values, rb.values)
 
     def test_instances_equal_single_draws(self):
-        S = bm.generate_test_functions(make_dataset(), 3, master_seed=2)
-        model = gp.fit(make_dataset(), noise=True)
+        model = make_model()
+        S = bm.generate_test_functions(model, 3, master_seed=2)
         grid = gp.default_grid(BOUNDS)
         for i, inst in enumerate(S):
             one = gp.simulate_unconditional(model, grid, seed=bm.derive_seed(2, i))
             assert np.array_equal(inst.values, one.values) and inst.seed == one.seed
 
     def test_instances_differ_pairwise(self):
-        S = bm.generate_test_functions(make_dataset(), 5, master_seed=1)
+        S = bm.generate_test_functions(make_model(), 5, master_seed=1)
         for i in range(5):
             for j in range(i + 1, 5):
                 diff = np.max(np.abs(S[i].values - S[j].values))
@@ -58,7 +58,7 @@ class TestTuneThenBenchmark:
         kw.setdefault("tuning_budget", 2)
         kw.setdefault("bench_budget", 12)
         kw.setdefault("reps", 2)
-        tune_on, bench_on = bm.generate_test_functions(make_dataset(), 2)
+        tune_on, bench_on = bm.generate_test_functions(make_model(), 2)
         return bm.tune_then_benchmark(list(candidates), tune_on, bench_on, BOUNDS, **kw)
 
     def test_no_parameters_means_no_tuning(self):
@@ -80,7 +80,7 @@ class TestTuneThenBenchmark:
         records = self.run(candidates, tuning_budget=3, seed=7)
         assert [r.pipeline for r in records] == [name for name, _ in candidates]
         assert {r.instance for r in records} == {"instance-1"}
-        _, bench_on = bm.generate_test_functions(make_dataset(), 2)
+        _, bench_on = bm.generate_test_functions(make_model(), 2)
         pipelines = [(r.pipeline, r.tuned_params) for r in records]
         campaign = bm.run_campaign(pipelines, {"instance-1": bench_on}, BOUNDS, 12,
                                    checkpoints=(12,), reps=2, master_seed=7)
@@ -103,6 +103,23 @@ class TestTuneThenBenchmark:
         assert all("Picky" in r.getMessage() and "temp" in r.getMessage()
                    and "too hot" in r.getMessage() for r in logged)
         assert len(logged) < 20 and records[0].tuned_params["temp"] <= 5000.0
+
+    def test_a_candidate_whose_every_sample_is_refused_keeps_its_defaults(self, monkeypatch):
+        ran = []
+
+        def default_only(problem, seed, temp=None):  # refuses all but the spec's default
+            ran.append(temp)
+            if temp != 100.0:
+                raise ConfigError(f"temp {temp} refused")
+            return optimizers.random_search(problem, seed)
+
+        monkeypatch.setitem(optimizers._RUNNERS, "DefaultOnly", default_only)
+        specs = (ParameterSpec("temp", "real", 100.0, 1.0, 10000.0),)
+        assert bm._tune("DefaultOnly", specs, make_model(), BOUNDS, tuning_budget=4, budget=12,
+                        seed=0, index=0) == {"temp": 100.0}
+        assert len(ran) == 4 and 100.0 not in ran
+        records = self.run([("DefaultOnly", specs)], tuning_budget=3)
+        assert records[0].tuned_params == {"temp": 100.0} and ran[-2:] == [100.0, 100.0]
 
 
 class TestRankAlgorithms:
@@ -209,7 +226,7 @@ class TestCampaign:
     PIPELINES = [("RandomSearch", {}), ("HillClimber", {})]
 
     def objectives(self):
-        S = bm.generate_test_functions(make_dataset(), 2, master_seed=3)
+        S = bm.generate_test_functions(make_model(), 2, master_seed=3)
         return {"sim-0": S[0], "sim-1": S[1]}
 
     def test_record_count(self):

@@ -530,12 +530,39 @@ class TestErrors:
          "cognition.resources.deadline: must be > 0, got 0.0"),
         ("cognition", {"resources": {"deadline": math.nan}},
          "cognition.resources.deadline: must be > 0, got nan"),
+        # NaN compares false with every change, so the stagnation trigger would never fire
+        ("cognition", {"stagnation_delta": math.nan},
+         "cognition.stagnation_delta: must be a finite number >= 0, got nan"),
+        ("cognition", {"stagnation_delta": math.inf},
+         "cognition.stagnation_delta: must be a finite number >= 0, got inf"),
+        ("cognition", {"stagnation_delta": -0.01},
+         "cognition.stagnation_delta: must be a finite number >= 0, got -0.01"),
+        # no tuning run would leave a candidate on its optimizer's keyword defaults
+        ("cognition", {"tuning_budget": -3}, "cognition.tuning_budget: must be >= 1, got -3"),
+        ("cognition", {"tuning_budget": 0}, "cognition.tuning_budget: must be >= 1, got 0"),
     ])
     def test_a_setting_the_loop_cannot_serve_is_refused(self, runner, tmp_path, section, value,
                                                         message):
         cfg = write_project(tmp_path, **{section: value})
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
                                    "run", "--cycles", "0"])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+
+    @pytest.mark.parametrize("value, message", [
+        ({"checkpoints": [-5, 6]}, "campaign.checkpoints: each must be >= 1, got [-5, 6]"),
+        ({"checkpoints": [0, 12]}, "campaign.checkpoints: each must be >= 1, got [0, 12]"),
+        ({"reps": 0}, "campaign.reps: must be >= 1, got 0"),
+    ])
+    def test_a_setting_the_campaign_cannot_serve_is_refused_at_load(self, runner, tmp_path,
+                                                                    monkeypatch, value, message):
+        def no_plant(*args, **kwargs):
+            raise AssertionError("a refused setting built the plant")
+
+        monkeypatch.setattr(cli, "VpsSimulator", no_plant)
+        cfg = write_project(tmp_path, campaign=value)
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                   "benchmark"])
         assert res.exit_code == 2, res.output
         assert message in res.output
 

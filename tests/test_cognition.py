@@ -1,11 +1,10 @@
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cogopt import cognition, optimizers
+from cogopt import cognition, gp, optimizers
 from cogopt.benchmark import EvaluationRecord, generate_test_functions, tune_then_benchmark
 from cogopt.cognition import (
     CognitionConfig,
@@ -24,8 +23,14 @@ GOAL = GoalSpec("Optimization", ("f1", "f2", "f3"), "mean", "minimize")
 
 
 def record(x, value, cycle):
-    return ProductionCycleRecord(x=x, f1=value, f2=value, f3=value,
-                                 aggregate=value, timestamp=time.time(), cycle=cycle)
+    return ProductionCycleRecord(x=x, f1=value, f2=value, f3=value, aggregate=value, cycle=cycle)
+
+
+def process_model(state, bounds, sign=1.0):
+    """The noise GP of sign * aggregate over the state's data, as a step fits it."""
+    data = gp.Dataset(X=np.array([r.x for r in state.d]),
+                      y=sign * np.array([r.aggregate for r in state.d]), bounds=bounds)
+    return gp.fit(data, noise=True)
 
 
 class ScriptedPlant(PlantAdapter):
@@ -117,19 +122,24 @@ class TestGetBestX:
 
     def test_none_returns_current_x(self):
         state, cfg, plant = self.setup_state()
-        assert get_best_x(None, state, cfg, plant.bounds) == state.x
+        assert state.p_best is None
+        assert get_best_x(state, cfg, process_model(state, plant.bounds)) == state.x
+
+    def test_no_model_returns_current_x(self):
+        state, cfg, _ = self.setup_state()
+        state.p_best = "RandomSearch"
+        assert get_best_x(state, cfg, None) == state.x
 
     def test_proposal_tracks_surrogate_minimum(self):
         state, cfg, plant = self.setup_state()
         state.latest["RandomSearch"] = EvaluationRecord("RandomSearch", "instance-1", 20,
                                                         best_y=0.0, cpu_time=0.1, memory_bytes=1.0)
-        x = get_best_x("RandomSearch", state, cfg, plant.bounds)
+        state.p_best = "RandomSearch"
+        model = process_model(state, plant.bounds)
+        x = get_best_x(state, cfg, model)
         lo, hi = plant.bounds
         assert lo <= x <= hi
         # the proposal should not be worse on the surrogate than the median point
-        from cogopt import gp
-        data = cognition._dataset(state, plant.bounds)
-        model = gp.fit(data, noise=True)
         mid = 0.5 * (lo + hi)
         assert gp.predict(model, x)[0][0] <= gp.predict(model, mid)[0][0] + 1e-9
 
@@ -141,17 +151,18 @@ class TestControlFlow:
         plant = ScriptedPlant(script)
         cfg = CognitionConfig(theta=theta, epsilon=epsilon, master_seed=0)
         state = CognitionState()
-        state.d = [record(0.5, 1.0, 0)]
+        # two observations, the least a step fits its process model on
+        state.d = [record(0.4, 1.0, 0), record(0.6, 1.0, 0)]
         state.x = 0.5
         kb = default_kb()
 
-        def fake_selection(state, kb, config, goal, bounds):
+        def fake_selection(state, kb, config, goal, model):
             state.p_best = "Stub"
             return kb, None
 
         it = iter(proposals)
 
-        def fake_best_x(p_best, state, config, bounds, sign):
+        def fake_best_x(state, config, model):
             return next(it, state.x)
 
         monkeypatch.setattr(cognition, "run_selection_cycle", fake_selection)
@@ -199,7 +210,7 @@ class TestControlFlow:
     def test_data_accumulates_monotonically(self, monkeypatch):
         script = [0.9, 0.8, 0.7, 0.6]
         state, _ = self.run_steps(monkeypatch, script, proposals=[])
-        assert len(state.d) == 1 + 4
+        assert len(state.d) == 2 + 4
         assert len(state.best_history) == 4
         assert state.best_history == sorted(state.best_history, reverse=True)
 
@@ -218,7 +229,7 @@ def cycle_result():
     cfg = CognitionConfig(s=6, theta=3, tuning_budget=2,
                           bench_budget=12, reps=2, master_seed=0)
     state = bootstrap(CognitionState(), plant, cfg)
-    kb, _ = run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
+    kb, _ = run_selection_cycle(state, default_kb(), cfg, GOAL, process_model(state, plant.bounds))
     return state, kb
 
 
@@ -283,9 +294,10 @@ def test_latest_keeps_each_pipelines_record_from_the_last_cycle_that_ran_it(monk
     cfg = CognitionConfig(s=6, tuning_budget=1, bench_budget=12, reps=1,
                           resources=ResourceBudget(max_parallel_pipelines=2))
     state, kb = bootstrap(CognitionState(), plant, cfg), default_kb()
+    model = process_model(state, plant.bounds)
     for iteration in range(2):
         state.iteration = iteration
-        kb, _ = run_selection_cycle(state, kb, cfg, GOAL, plant.bounds)
+        kb, _ = run_selection_cycle(state, kb, cfg, GOAL, model)
     first, second = ({r.pipeline: r for r in records} for records in ran)
     assert first.keys() - second.keys()  # one that only the first cycle ran
     assert state.latest.keys() == first.keys() | second.keys()
@@ -297,16 +309,63 @@ def test_latest_keeps_each_pipelines_record_from_the_last_cycle_that_ran_it(monk
 def test_a_cycle_draws_the_two_instances_it_runs(monkeypatch):
     drawn = []
 
-    def spy(data, k, master_seed=0):
-        drawn.append(k)
-        return generate_test_functions(data, k, master_seed)
+    def spy(model, k, master_seed=0):
+        drawn.append((model, k))
+        return generate_test_functions(model, k, master_seed)
 
     monkeypatch.setattr(cognition, "generate_test_functions", spy)
     plant = VpsSimulator(noise_sd=0.02, seed=1)
     cfg = CognitionConfig(s=6, theta=3, tuning_budget=1, bench_budget=12, reps=1)
     state = bootstrap(CognitionState(), plant, cfg)
-    run_selection_cycle(state, default_kb(), cfg, GOAL, plant.bounds)
-    assert drawn == [2] and state.latest
+    model = process_model(state, plant.bounds)
+    run_selection_cycle(state, default_kb(), cfg, GOAL, model)
+    assert drawn == [(model, 2)] and state.latest
+
+
+def test_a_step_fits_one_process_model_for_the_cycle_and_the_proposal(monkeypatch):
+    fits, read = [], []
+    real_fit = gp.fit
+
+    def fit_spy(data, noise=False, start=None):
+        model = real_fit(data, noise, start)
+        if noise:
+            fits.append(model)
+        return model
+
+    def draw_spy(model, k, master_seed=0):
+        read.append(("cycle", model))
+        return generate_test_functions(model, k, master_seed)
+
+    def best_x_spy(state, config, model):
+        read.append(("proposal", model))
+        return get_best_x(state, config, model)
+
+    plant = VpsSimulator(noise_sd=0.02, seed=0)
+    cfg = CognitionConfig(s=6, theta=3, tuning_budget=1, bench_budget=12, reps=1)
+    state, kb = bootstrap(CognitionState(), plant, cfg), default_kb()
+    monkeypatch.setattr(gp, "fit", fit_spy)
+    monkeypatch.setattr(cognition, "generate_test_functions", draw_spy)
+    monkeypatch.setattr(cognition, "get_best_x", best_x_spy)
+    for _ in range(4):
+        fits.clear()
+        read.clear()
+        state, kb = step(state, plant, kb, cfg, GOAL)
+        assert len(fits) == 1
+        cycle = [("cycle", fits[0])] if state.log_entries[-1]["selection_ran"] else []
+        assert all(m is fits[0] for _, m in read) and read == cycle + [("proposal", fits[0])]
+    assert any(e["selection_ran"] for e in state.log_entries[1:])
+
+
+def test_a_step_with_no_cycle_and_no_winner_fits_nothing(monkeypatch):
+    fits = []
+    plant = VpsSimulator(noise_sd=0.02, seed=0)
+    cfg = CognitionConfig(s=6, theta=3)
+    state = bootstrap(CognitionState(), plant, cfg)
+    state.iteration = 1  # off the schedule, with the trigger unarmed and no winner yet
+    monkeypatch.setattr(gp, "fit", lambda *args, **kwargs: fits.append(args))
+    x = state.x
+    state, _ = step(state, plant, default_kb(), cfg, GOAL)
+    assert fits == [] and state.x == x and not state.log_entries[-1]["selection_ran"]
 
 
 def test_no_feasible_baseline_skips_the_cycle_before_any_work(monkeypatch):
@@ -323,7 +382,8 @@ def test_no_feasible_baseline_skips_the_cycle_before_any_work(monkeypatch):
 
     monkeypatch.setattr(cognition, "generate_test_functions", no_work)
     monkeypatch.setattr(cognition, "tune_then_benchmark", no_work)
-    kb_out, table = run_selection_cycle(state, kb, CognitionConfig(), GOAL, (0.0, 1.0))
+    model = process_model(state, (0.0, 1.0))
+    kb_out, table = run_selection_cycle(state, kb, CognitionConfig(), GOAL, model)
     assert kb_out is kb and table is None
     assert state.latest == {} and state.p_best is None
 
@@ -383,12 +443,12 @@ def test_a_goal_path_the_kb_lacks_leaves_the_loop():
                                            (SingularCovariance, False)])
 def test_configuration_errors_leave_the_loop_and_run_time_failures_do_not(
         monkeypatch, error, leaves):
-    def failing_selection(state, kb, config, goal, bounds):
+    def failing_selection(state, kb, config, goal, model):
         raise error("from the selection cycle")
 
     monkeypatch.setattr(cognition, "run_selection_cycle", failing_selection)
     plant = ScriptedPlant([1.0])
-    state = CognitionState(d=[record(0.5, 1.0, 0)], x=0.5)
+    state = CognitionState(d=[record(0.4, 1.0, 0), record(0.6, 1.0, 0)], x=0.5)
     if leaves:
         with pytest.raises(error):
             step(state, plant, default_kb(), CognitionConfig(), GOAL)
